@@ -3,7 +3,8 @@
 Subcommands: cone eval|dual|rho-star, solve, exp, suite.  Spectra are
 comma-separated literals; configs are JSON files.  Exit code 0 on success
 (and all verdicts passing for exp/suite), 1 on failing verdicts, 2 on
-usage or configuration errors.
+usage or configuration errors, 3 on a numerical failure (NumericError: a
+linear solve, optimizer or quadrature that did not converge).
 """
 
 from __future__ import annotations
@@ -144,6 +145,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except symcone.NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -196,12 +196,6 @@ def precise_bound_check(uy, spec, psi_integral):
     return precise, crude
 
 
-def radial_fk(n, k, prof, r):
-    """Re-export of the radial k-Hessian (see radial module)."""
-    from .radial import radial_fk as _rfk
-    return _rfk(n, k, prof, r)
-
-
 def rho_star_field(coeff, k, mask):
     """Per-node rho*_k of the coefficient spectrum over mask.
 

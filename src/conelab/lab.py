@@ -138,6 +138,18 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+def _finite_array(value, name):
+    """value as a float array, or ValueError naming the config field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"field '{name}': expected numbers, "
+                         f"got {value!r}") from None
+    _require(np.all(np.isfinite(arr)),
+             f"field '{name}': entries must be finite, got {value!r}")
+    return arr
+
+
 def parse_config(d):
     """Validated ExperimentConfig from a plain JSON dict."""
     _require(isinstance(d, dict), "config must be a JSON object")
@@ -166,6 +178,16 @@ def parse_config(d):
     op = dict(d.get("operator", {"type": "identity"}))
     _require(op.get("type") in ("identity", "gilbarg_serrin", "constant"),
              f"field 'operator.type': unknown type {op.get('type')!r}")
+    for key in ("b", "c"):
+        _require(key not in op or op["type"] == "constant",
+                 f"field 'operator.{key}': only the constant operator "
+                 f"takes {key}")
+    if "b" in op:
+        _require(_finite_array(op["b"], "operator.b").shape == (n,),
+                 f"field 'operator.b': need {n} entries, got {op['b']!r}")
+    if "c" in op:
+        _require(_finite_array(op["c"], "operator.c").ndim == 0,
+                 f"field 'operator.c': need one number, got {op['c']!r}")
     fspec = dict(d.get("f", {"type": "zero"}))
     _require(fspec.get("type") in ("zero", "constant", "gaussian",
                                    "radial_power"),
@@ -190,7 +212,8 @@ def coeff_builder(cfg):
     if op["type"] == "gilbarg_serrin":
         return fd.coeff_gilbarg_serrin(cfg.n, float(op["alpha"]))
     if op["type"] == "constant":
-        return fd.constant_coeff(np.asarray(op["matrix"], dtype=float))
+        return fd.constant_coeff(np.asarray(op["matrix"], dtype=float),
+                                 op.get("b"), op.get("c"))
     raise ValueError(f"unknown operator type {op['type']!r}")
 
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conelab import cli, serialize
+from conelab import cli, fd, serialize
+from conelab.symcone import NumericError
 
 
 def run_cli(capsys, *argv):
@@ -80,11 +81,46 @@ class TestSolveCommand:
             cli.main(["solve", "--config", str(p)])
         assert exc.value.code == 2
 
+    def test_malformed_drift_exits_2(self, capsys, tmp_path):
+        cfg = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
+               "domain": {"kind": "ball", "center": [0, 0], "radius": 1.0},
+               "operator": {"type": "constant", "matrix": [[1, 0], [0, 1]],
+                            "b": [1.0, 2.0, 3.0]}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = cli.main(["solve", "--config", str(p),
+                         "--out", str(tmp_path / "sol")])
+        assert code == 2
+        assert "operator.b" in capsys.readouterr().err
+
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         code = cli.main(["solve", "--config", str(p)])
         assert code == 2
+
+
+class TestNumericFailure:
+    @pytest.mark.parametrize("command", [["solve"],
+                                         ["exp", "max_principle"],
+                                         ["suite"]])
+    def test_numeric_error_exits_3(self, capsys, tmp_path, monkeypatch,
+                                   command):
+        def fail(*args, **kwargs):
+            raise NumericError("solve residual too large: 1.00e-02")
+        monkeypatch.setattr(fd, "solve_dirichlet", fail)
+        cfg = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
+               "domain": {"kind": "ball", "center": [0, 0], "radius": 1.0},
+               "f": {"type": "constant", "params": {"value": 4.0}}}
+        if command == ["suite"]:
+            cfg = {"experiments": [{"exp": "max_principle", **cfg}]}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code = cli.main(command + ["--config", str(p),
+                                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: solve residual too large: 1.00e-02\n"
 
 
 class TestExpCommand:

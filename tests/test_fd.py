@@ -1,3 +1,5 @@
+import contextlib
+import logging
 import warnings
 
 import numpy as np
@@ -203,6 +205,117 @@ class TestSolveDirichlet:
             exact = 1 - np.sum(g.points() ** 2, -1)
             errs.append(np.max(np.abs(u.values - exact)[g.interior]))
         assert errs[1] < 0.75 * errs[0]
+
+
+def _failed_bicgstab(A, b, **kwargs):
+    return np.zeros_like(b), 1
+
+
+def _solve_records(caplog, coeff, f, bc):
+    """solve_dirichlet result and the conelab.fd records it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="conelab.fd"):
+        u = fd.solve_dirichlet(coeff, f, bc)
+    return u, [r for r in caplog.records if r.name == "conelab.fd"]
+
+
+def _policy_problem(n=3, h=1 / 8):
+    g = fd.build_grid(unit_ball(n), h)
+    f = fd.field_from_function(
+        g, lambda x: 1.0 + np.exp(-np.sum(x ** 2, -1)))
+    bc = fd.boundary_field(g, lambda x: x[..., 0])
+    return g, f, bc
+
+
+class TestSolverPolicy:
+    # small systems of each operator kind; forcing the fallback gives the
+    # direct solution of the same system as the reference
+    @pytest.mark.parametrize("n, h, builder, monotone", [
+        (2, 1 / 12, fd.identity_coeff(), True),
+        (3, 1 / 8, fd.identity_coeff(), True),
+        (3, 1 / 8, fd.coeff_gilbarg_serrin(3, 0.5), False),
+        (3, 1 / 8, fd.coeff_gilbarg_serrin(3, -0.9), False),
+        (3, 1 / 8, fd.constant_coeff(np.diag([4.0, 1.0, 0.25])), True),
+        (3, 1 / 8, fd.constant_coeff(
+            [[2.0, 0.9, 0.0], [0.9, 1.0, 0.3], [0.0, 0.3, 0.5]],
+            b=[20.0, 0.0, 0.0], c=-5.0), False),
+    ])
+    def test_iterative_matches_direct(self, caplog, monkeypatch,
+                                      n, h, builder, monotone):
+        g, f, bc = _policy_problem(n, h)
+        coeff = builder(g)
+        with (contextlib.nullcontext() if monotone
+              else pytest.warns(fd.MonotonicityWarning)):
+            u_it, it_recs = _solve_records(caplog, coeff, f, bc)
+            monkeypatch.setattr(fd, "bicgstab", _failed_bicgstab)
+            u_lu, lu_recs = _solve_records(caplog, coeff, f, bc)
+        assert "path=bicgstab" in it_recs[-1].getMessage()
+        assert "path=spsolve" in lu_recs[-1].getMessage()
+        err = (np.linalg.norm(u_it.values - u_lu.values)
+               / np.linalg.norm(u_lu.values))
+        assert err <= 1e-8
+
+    def test_debug_record_per_solve(self, caplog):
+        g, f, bc = _policy_problem()
+        _, recs = _solve_records(caplog, fd.identity_coeff()(g), f, bc)
+        assert [r.levelname for r in recs] == ["DEBUG"]
+        msg = recs[0].getMessage()
+        nuk = int(np.count_nonzero(g.interior))
+        assert f"unknowns={nuk} " in msg
+        for key in ("nnz=", "iterations=", "rel_res="):
+            assert key in msg
+        iters = int(msg.split("iterations=")[1].split()[0])
+        assert 0 < iters < 100
+
+    @pytest.mark.parametrize("bicgstab, reason", [
+        (_failed_bicgstab, "info=1"),
+        (lambda A, b, **kw: (np.ones_like(b), 0), "rel res="),
+    ])
+    def test_fallback_returns_direct_solution(self, caplog, monkeypatch,
+                                              bicgstab, reason):
+        g, f, bc = _policy_problem()
+        coeff = fd.identity_coeff()(g)
+        u_ref = fd.solve_dirichlet(coeff, f, bc)
+        direct_calls = []
+        direct = fd.spsolve
+
+        def spsolve(A, b):
+            direct_calls.append(A.shape)
+            return direct(A, b)
+        monkeypatch.setattr(fd, "bicgstab", bicgstab)
+        monkeypatch.setattr(fd, "spsolve", spsolve)
+        u, recs = _solve_records(caplog, coeff, f, bc)
+        assert len(direct_calls) == 1
+        warned = [r for r in recs if r.levelno == logging.WARNING]
+        assert len(warned) == 1
+        assert "falling back to spsolve" in warned[0].getMessage()
+        assert reason in warned[0].getMessage()
+        err = (np.linalg.norm(u.values - u_ref.values)
+               / np.linalg.norm(u_ref.values))
+        assert err <= 1e-8
+
+    def test_zero_diagonal_skips_iteration(self, caplog, monkeypatch):
+        # c cancels the center weight -2 tr(A) / h^2 of the stencil
+        g = fd.build_grid(unit_ball(2), 1 / 8)
+        f = fd.field_from_function(g, lambda x: 1.0 + x[..., 0] ** 2)
+        bc = fd.boundary_field(g, lambda x: np.zeros(x.shape[:-1]))
+        coeff = fd.constant_coeff(np.diag([1.0, 2.0]), c=6.0 / g.h ** 2)(g)
+
+        def bicgstab(*args, **kwargs):
+            raise AssertionError("BiCGSTAB run on a zero diagonal")
+        monkeypatch.setattr(fd, "bicgstab", bicgstab)
+        u, recs = _solve_records(caplog, coeff, f, bc)
+        assert "zero diagonal" in recs[0].getMessage()
+        assert np.max(np.abs(fd.apply_L(u, coeff).values + f.values)[
+            g.interior]) < 1e-6 * np.max(np.abs(f.values))
+
+    def test_both_paths_failing_raises(self, monkeypatch):
+        g, f, bc = _policy_problem()
+        monkeypatch.setattr(fd, "bicgstab", _failed_bicgstab)
+        monkeypatch.setattr(fd, "spsolve",
+                            lambda A, b: np.full_like(b, np.nan))
+        with pytest.raises(NumericError, match="info=1"):
+            fd.solve_dirichlet(fd.identity_coeff()(g), f, bc)
 
 
 class TestNorms:

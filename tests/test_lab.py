@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conelab import lab
+from conelab import fd, lab
 
 
 def ball_dict(n, r=1.0):
@@ -52,6 +52,45 @@ class TestConfigParsing:
     def test_scalar_h_promoted(self):
         cfg = lab.parse_config({"n": 3, "k": 2, "q": 2.0, "h": 0.125})
         assert cfg.h_ladder == (0.125,)
+
+    @pytest.mark.parametrize("op, field", [
+        ({"b": [1.0, 2.0]}, "operator.b"),
+        ({"b": [1.0, float("nan"), 0.0]}, "operator.b"),
+        ({"b": ["x", 0.0, 0.0]}, "operator.b"),
+        ({"b": 1.0}, "operator.b"),
+        ({"c": float("inf")}, "operator.c"),
+        ({"c": [1.0, 2.0]}, "operator.c"),
+    ])
+    def test_malformed_drift_or_potential(self, op, field):
+        spec = {"type": "constant", "matrix": np.eye(3).tolist(), **op}
+        with pytest.raises(ValueError, match=field):
+            lab.parse_config({"n": 3, "k": 2, "q": 2.0, "operator": spec})
+
+    def test_drift_only_on_constant_operator(self):
+        with pytest.raises(ValueError, match="operator.b"):
+            lab.parse_config({"n": 3, "k": 2, "q": 2.0,
+                              "operator": {"type": "identity",
+                                           "b": [1.0, 0.0, 0.0]}})
+
+
+class TestConstantOperator:
+    def test_drift_and_potential_reach_the_solve(self):
+        A = [[1.0, 0.0], [0.0, 1.5]]
+        b, c = [2.0, -1.0], -3.0
+        base = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
+                "domain": ball_dict(2),
+                "f": {"type": "constant", "params": {"value": 4.0}}}
+        plain = lab.parse_config({**base, "operator": {
+            "type": "constant", "matrix": A}})
+        full = lab.parse_config({**base, "operator": {
+            "type": "constant", "matrix": A, "b": b, "c": c}})
+        grid, _, f, u = lab._solve(full, 0.125)
+        _, _, _, u_plain = lab._solve(plain, 0.125)
+        zero = fd.boundary_field(grid, lambda x: np.zeros(x.shape[:-1]))
+        ref = fd.solve_dirichlet(fd.constant_coeff(A, b, c)(grid), f, zero)
+        assert np.allclose(u.values, ref.values, rtol=0, atol=1e-12)
+        diff = np.max(np.abs(u.values - u_plain.values))
+        assert diff > 0.01 * np.max(np.abs(u_plain.values))
 
 
 class TestSlopeFitting:

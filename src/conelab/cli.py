@@ -4,7 +4,8 @@ Subcommands: cone eval|dual|rho-star, solve, exp, suite.  Spectra are
 comma-separated literals; configs are JSON files.  Exit code 0 on success
 (and all verdicts passing for exp/suite), 1 on failing verdicts, 2 on
 usage or configuration errors, 3 on a numerical failure (NumericError: a
-linear solve, optimizer or quadrature that did not converge).
+linear solve, optimizer or quadrature that did not converge).  A suite runs
+every job, lists the errors raised, and exits with the highest code.
 """
 
 from __future__ import annotations
@@ -97,8 +98,12 @@ def cmd_suite(args):
         reports, code = lab.run_suite(args.config, out_dir=args.out)
     except ValueError as exc:
         usage_error(str(exc))
+    for r in reports:
+        if r.exc is not None:
+            print(f"error: {r.exc}", file=sys.stderr)
     _emit({"reports": [{"name": r.name, "passed": r.passed,
-                        "wall_time": r.wall_time} for r in reports],
+                        "wall_time": r.wall_time, "error": r.error}
+                       for r in reports],
            "exit_code": code})
     return code
 
@@ -142,12 +147,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except tuple(lab.ERROR_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except symcone.NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return lab.error_exit_code(exc)
 
 
 if __name__ == "__main__":

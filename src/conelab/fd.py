@@ -2,9 +2,13 @@
 
 Operators have the form Lu = a^{ij} D_ij u + b^i D_i u + c u on box or ball
 domains, discretized with second-order central differences (four-point cross
-stencil for the mixed terms).  Ball boundaries are handled by cut cells: the
-first lattice layer outside the interior carries Dirichlet data evaluated at
-the radial projection onto the sphere, which costs one order at the boundary.
+stencil for the mixed terms), written down once in _difference_table: each
+D_ij and D_i is a scale and a list of (lattice offset, integer coefficient)
+terms.  The assembly in solve_dirichlet, hessian_field and apply_L all read
+that table, so the stencil changes there and nowhere else.  Ball boundaries
+are handled by cut cells: the first lattice layer outside the interior
+carries Dirichlet data evaluated at the radial projection onto the sphere,
+which costs one order at the boundary.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it cannot
@@ -12,7 +16,8 @@ run (zero diagonal), does not converge, or leaves a relative residual above
 RESIDUAL_TOL, the same system is solved once more by sparse LU (spsolve);
 only a failed direct solve raises NumericError.  Each solve is logged on the
 "conelab.fd" logger: one DEBUG record with the path taken, the unknowns, nnz,
-the iteration count and the final relative residual, and a WARNING for every
+the iteration count, the final relative residual and the number of interior
+nodes with a wrong-sign off-diagonal weight, and a WARNING for every
 fallback to the direct solver with its reason.
 """
 
@@ -276,63 +281,79 @@ def _shift(arr, offset, fill=0):
     return out
 
 
-def apply_L(u, coeff):
-    """Discrete Lu on interior nodes (zero elsewhere).
+def _difference_table(n):
+    """(second, first) differences: second holds (i, j, scale, terms) for
+    i <= j and first (i, scale, terms), with (offset, k) terms such that
+    D_ij u = sum k u(x + h offset) / (scale h^2) and D_i u = sum k u(x + h
+    offset) / (scale h).  The order of second sets the column order of the
+    assembled matrix and the order of the boundary-data sums."""
+    e = np.eye(n, dtype=int)
 
-    Central second differences on the diagonal, symmetric four-point cross
-    differences for the mixed terms, central first differences for b.
-    Exact (to rounding) on polynomials of degree <= 2.
+    def o(v):
+        return tuple(v.tolist())
+    second, first = [], []
+    for i in range(n):
+        second.append((i, i, 1, [((0,) * n, -2), (o(e[i]), 1),
+                                 (o(-e[i]), 1)]))
+        first.append((i, 2, [(o(e[i]), 1), (o(-e[i]), -1)]))
+        for j in range(i + 1, n):
+            p, m = e[i] + e[j], e[i] - e[j]
+            second.append((i, j, 4, [(o(p), 1), (o(-p), 1),
+                                     (o(m), -1), (o(-m), -1)]))
+    return second, first
+
+
+def _difference(v, terms, denom):
+    """sum k v(p + offset) / denom over the (offset, k) terms, in order."""
+    acc = None
+    for off, k in terms:
+        t = _shift(v, off)
+        t *= k
+        acc = t if acc is None else np.add(acc, t, out=acc)
+    return acc / denom
+
+
+def apply_L(u, coeff):
+    """Discrete Lu = A : D^2 u + b . Du + c u on interior nodes (zero
+    elsewhere), with the differences of _difference_table.  Exact (to
+    rounding) on polynomials of degree <= 2.
     """
     grid = u.grid
-    n = grid.dim
-    h = grid.h
-    v = u.values
-    out = np.zeros(grid.shape)
-    for i in range(n):
-        e = tuple(1 if a == i else 0 for a in range(n))
-        d2 = (_shift(v, e) - 2 * v + _shift(v, tuple(-x for x in e))) / h ** 2
-        out += coeff.A[..., i, i] * d2
-        if coeff.b is not None:
-            d1 = (_shift(v, e) - _shift(v, tuple(-x for x in e))) / (2 * h)
-            out += coeff.b[..., i] * d1
-        for j in range(i + 1, n):
-            ej = tuple(1 if a == j else 0 for a in range(n))
-            pp = tuple(a + b for a, b in zip(e, ej))
-            pm = tuple(a - b for a, b in zip(e, ej))
-            cross = (_shift(v, pp) + _shift(v, tuple(-x for x in pp))
-                     - _shift(v, pm) - _shift(v, tuple(-x for x in pm)))
-            out += 2 * coeff.A[..., i, j] * cross / (4 * h ** 2)
+    H, _ = hessian_field(u)
+    out = np.einsum("...ij,...ij->...", coeff.A, H)
+    if coeff.b is not None:
+        for i, scale, terms in _difference_table(grid.dim)[1]:
+            out += coeff.b[..., i] * _difference(u.values, terms,
+                                                 scale * grid.h)
     if coeff.c is not None:
-        out += coeff.c * v
-    out = np.where(grid.interior, out, 0.0)
-    return ScalarField(grid, out)
+        out += coeff.c * u.values
+    return ScalarField(grid, np.where(grid.interior, out, 0.0))
 
 
-def _stencil_offsets(grid, coeff):
-    """(offset, weight-array) pairs for the interior stencil, plus the
-    center weight."""
-    n = grid.dim
-    h = grid.h
-    offsets = []
-    center = -2.0 * np.einsum("...ii->...", coeff.A) / h ** 2
+def _stencil(coeff):
+    """(offset, weight) pairs of the assembled L in _difference_table
+    order.  Per offset the A-weighted (b-weighted) coefficients over the
+    scale are summed and divided once by h^2 (h); the scales are powers of
+    two, so that division is exact.
+    """
+    n, h = coeff.grid.dim, coeff.grid.h
+    second, first = _difference_table(n)
+    acc = {}
+    for i, j, scale, terms in second:
+        # A : D^2 counts each off-diagonal pair twice
+        a = coeff.A[..., i, j] * ((1 if i == j else 2) / scale)
+        for off, k in terms:
+            t = a if k == 1 else k * a
+            acc[off] = acc[off] + t if off in acc else t
+    weights = {off: s / h ** 2 for off, s in acc.items()}
+    if coeff.b is not None:
+        for i, scale, terms in first:
+            beta = coeff.b[..., i] / scale
+            for off, k in terms:
+                weights[off] = weights[off] + k * beta / h
     if coeff.c is not None:
-        center = center + coeff.c
-    for i in range(n):
-        e = tuple(1 if a == i else 0 for a in range(n))
-        w = coeff.A[..., i, i] / h ** 2
-        b = coeff.b[..., i] / (2 * h) if coeff.b is not None else 0.0
-        offsets.append((e, w + b))
-        offsets.append((tuple(-x for x in e), w - b))
-        for j in range(i + 1, n):
-            ej = tuple(1 if a == j else 0 for a in range(n))
-            w = coeff.A[..., i, j] / (2 * h ** 2)
-            pp = tuple(a + b for a, b in zip(e, ej))
-            pm = tuple(a - b for a, b in zip(e, ej))
-            offsets.append((pp, w))
-            offsets.append((tuple(-x for x in pp), w))
-            offsets.append((pm, -w))
-            offsets.append((tuple(-x for x in pm), -w))
-    return center, offsets
+        weights[(0,) * n] = weights[(0,) * n] + coeff.c
+    return list(weights.items())
 
 
 def _rel_residual(A, x, rhs):
@@ -383,7 +404,8 @@ def solve_dirichlet(coeff, f, g, rtol=1e-10):
     triggers one direct sparse solve, logged as a WARNING with its reason;
     NumericError is raised only if the direct residual also exceeds
     RESIDUAL_TOL.  Emits MonotonicityWarning when an off-diagonal stencil
-    weight has the sign that breaks the discrete maximum principle.
+    weight has the sign that breaks the discrete maximum principle, with
+    the number of interior nodes that have one (also in the DEBUG record).
     """
     grid = f.grid
     interior = grid.interior
@@ -391,23 +413,15 @@ def solve_dirichlet(coeff, f, g, rtol=1e-10):
     index = -np.ones(grid.shape, dtype=np.int64)
     index[interior] = np.arange(nuk)
 
-    center, offsets = _stencil_offsets(grid, coeff)
     rows, cols, vals = [], [], []
     rhs = -f.values[interior].astype(float)
-    rows.append(np.arange(nuk))
-    cols.append(np.arange(nuk))
-    vals.append(np.broadcast_to(center, grid.shape)[interior])
-
-    bad_weight = False
-    for off, w in offsets:
-        w_full = np.broadcast_to(w, grid.shape)
-        nbr_idx = _shift(index, off, fill=-1)
-        nbr_bdy = _shift(grid.boundary.astype(np.int8), off).astype(bool)
-        wi = w_full[interior]
-        if np.any(wi < -1e-12):
-            bad_weight = True
-        into = nbr_idx[interior]
-        onb = nbr_bdy[interior]
+    wrong_sign = np.zeros(nuk, dtype=bool)
+    for off, w in _stencil(coeff):
+        wi = np.broadcast_to(w, grid.shape)[interior]
+        if any(off):
+            wrong_sign |= wi < -1e-12
+        into = _shift(index, off, fill=-1)[interior]
+        onb = _shift(grid.boundary.astype(np.int8), off).astype(bool)[interior]
         inner = into >= 0
         rows.append(np.arange(nuk)[inner])
         cols.append(into[inner])
@@ -415,17 +429,19 @@ def solve_dirichlet(coeff, f, g, rtol=1e-10):
         if np.any(onb):
             gn = _shift(g.values, off)[interior]
             rhs[onb] -= (wi * gn)[onb]
-    if bad_weight:
-        warnings.warn("off-diagonal stencil weight with wrong sign; the "
-                      "discrete maximum principle may fail",
+    n_wrong = int(np.count_nonzero(wrong_sign))
+    if n_wrong:
+        warnings.warn(f"off-diagonal stencil weight with wrong sign at "
+                      f"{n_wrong} of {nuk} interior nodes; the discrete "
+                      f"maximum principle may fail",
                       MonotonicityWarning, stacklevel=2)
 
     A = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nuk, nuk))
     sol, path, iterations, res = _solve_linear(A, rhs, rtol)
-    log.debug("solve: path=%s unknowns=%d nnz=%d iterations=%d rel_res=%.2e",
-              path, nuk, A.nnz, iterations, res)
+    log.debug("solve: path=%s unknowns=%d nnz=%d iterations=%d rel_res=%.2e "
+              "wrong_sign=%d", path, nuk, A.nnz, iterations, res, n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)
     out[interior] = sol
     return ScalarField(grid, out)
@@ -458,25 +474,11 @@ def hessian_field(u):
     nodes one layer in).  Exactly symmetric by construction."""
     grid = u.grid
     n = grid.dim
-    h = grid.h
-    v = u.values
     H = np.zeros(grid.shape + (n, n))
-    for i in range(n):
-        e = tuple(1 if a == i else 0 for a in range(n))
-        H[..., i, i] = (_shift(v, e) - 2 * v
-                        + _shift(v, tuple(-x for x in e))) / h ** 2
-        for j in range(i + 1, n):
-            ej = tuple(1 if a == j else 0 for a in range(n))
-            pp = tuple(a + b for a, b in zip(e, ej))
-            pm = tuple(a - b for a, b in zip(e, ej))
-            hij = (_shift(v, pp) + _shift(v, tuple(-x for x in pp))
-                   - _shift(v, pm)
-                   - _shift(v, tuple(-x for x in pm))) / (4 * h ** 2)
-            H[..., i, j] = hij
-            H[..., j, i] = hij
-    mask = binary_erosion(grid.interior, structure=np.ones((3,) * n,
-                                                           dtype=bool))
-    return H, mask
+    for i, j, scale, terms in _difference_table(n)[0]:
+        H[..., i, j] = H[..., j, i] = _difference(u.values, terms,
+                                                  scale * grid.h ** 2)
+    return H, interior_eroded(grid, 1)
 
 
 def interior_eroded(grid, layers):

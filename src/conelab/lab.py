@@ -1,8 +1,9 @@
 """Named numerical experiments over the cone, lattice, and radial modules.
 
 Each experiment consumes an ExperimentConfig, runs a ladder of solves or
-quadratures, fits slopes where asymptotics are claimed, and returns an
-ExperimentReport whose verdicts are pure functions of the stored numbers.
+quadratures, fits slopes where asymptotics are claimed, and fills the
+ExperimentReport that run_one hands it; verdicts are pure functions of the
+stored numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,10 +64,16 @@ class ExperimentReport:
     verdicts: list = field(default_factory=list)
     plots: dict = field(default_factory=dict)   # filename -> (comment, cols)
     wall_time: float = 0.0
+    exc: Exception | None = None    # what a suite job raised instead
 
     @property
     def passed(self):
-        return all(v.passed for v in self.verdicts)
+        return self.exc is None and all(v.passed for v in self.verdicts)
+
+    @property
+    def error(self):
+        """'<ExceptionType>: <message>' of a job that raised, else None."""
+        return self.exc and f"{type(self.exc).__name__}: {self.exc}"
 
 
 def fit_loglog(xs, ys, npts=5):
@@ -248,16 +255,12 @@ def _solve(cfg, h):
     return grid, coeff, f, u
 
 
-def exp_max_principle(cfg):
+def exp_max_principle(cfg, rep):
     """Explicit-constant sup bound: solve Lu = -f with zero boundary data
     and check sup u <= abp_constant * ||f/rho*_k||_{L^q(contact mask)}."""
-    t0 = time.perf_counter()
-    dom = cfg.domain or fd.Domain.ball(np.zeros(cfg.n), 1.0)
-    cfg.domain = dom
     if 2 * cfg.k <= cfg.n:
         raise ValueError("explicit-constant mode requires k > n/2")
-    const = green.abp_constant(cfg.n, cfg.k, dom.diam)
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
+    const = green.abp_constant(cfg.n, cfg.k, cfg.domain.diam)
     for h in cfg.h_ladder:
         grid, coeff, f, u = _solve(cfg, h)
         br = green.bound_report_for(u, f, coeff, cfg.k, cfg.q, const)
@@ -271,8 +274,6 @@ def exp_max_principle(cfg):
          "lhs": [r.data["lhs"] for r in rep.runs],
          "rhs": [r.data["rhs"] for r in rep.runs],
          "margin": margins})
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
 def sharpness_family(n, k, eps):
@@ -287,15 +288,13 @@ def sharpness_family(n, k, eps):
     return lu, sup_w
 
 
-def exp_sharpness(cfg):
+def exp_sharpness(cfg, rep):
     """Exponent optimality: at alpha = 2 - n/k the norm ||L w_eps||_{L^q}
     decays like eps^{n/q - n/k} while sup w_eps -> 1."""
-    t0 = time.perf_counter()
     n, k = cfg.n, cfg.k
     if 2 * k <= n:
         raise ValueError("sharpness family requires k > n/2")
     qs = cfg.q_list or (cfg.q,)
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
     sups = []
     for q in qs:
         norms = []
@@ -326,19 +325,15 @@ def exp_sharpness(cfg):
     rep.plots["sup_vs_eps.csv"] = ("sup w_eps vs eps",
                                    {"eps": list(cfg.eps_ladder),
                                     "sup": sups})
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
-def exp_log_family(cfg):
+def exp_log_family(cfg, rep):
     """Bounded-norm blowup family at the borderline exponent: the L^{n/2}
     norm of L u_eps stays flat while inf u_eps = log(eps) - 1/2 diverges."""
-    t0 = time.perf_counter()
     n = cfg.n
     if cfg.q != n / 2:
         raise ValueError("log family runs at q = n/2")
     target = 2.0 * (n - 1) * radial.unit_ball_volume(n) ** (2.0 / n)
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
     norms, infs = [], []
     rs = np.linspace(0.0, 1.0, 20001)
     for eps in cfg.eps_ladder:
@@ -363,8 +358,6 @@ def exp_log_family(cfg):
     rep.plots["norm_vs_eps.csv"] = (
         "flat L^{n/2} norm and diverging infimum vs eps",
         {"eps": list(cfg.eps_ladder), "norm": norms, "inf": infs})
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
 def _rho0(cfg, coeff):
@@ -380,20 +373,16 @@ def _rho0(cfg, coeff):
     return symcone.rho_star(np.ones(cfg.n), cfg.k)
 
 
-def exp_local_max(cfg):
+def exp_local_max(cfg, rep):
     """Interior sup bound: sup_{B_sigma} u+ relative to a mean of u+ over
     the full ball plus a scaled rhs norm.  Property run: the ratio must be
     stable under h-refinement (max/min <= 1.5), no value asserted."""
-    t0 = time.perf_counter()
-    dom = cfg.domain or fd.Domain.ball(np.zeros(cfg.n), 1.0)
-    cfg.domain = dom
-    R = dom.radius
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
+    R = cfg.domain.radius
     ratios = []
     for h in cfg.h_ladder:
         grid, coeff, f, u = _solve(cfg, h)
         rho0 = _rho0(cfg, coeff)
-        r = np.linalg.norm(grid.points() - dom.center, axis=-1)
+        r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         inner = grid.interior & (r < cfg.sigma * R)
         up = fd.ScalarField(grid, np.maximum(u.values, 0.0))
         lhs = float(np.max(up.values[inner]))
@@ -412,22 +401,17 @@ def exp_local_max(cfg):
     rep.plots["ratio_vs_h.csv"] = ("local-max ratio per spacing",
                                    {"h": list(cfg.h_ladder),
                                     "ratio": ratios})
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
-def exp_oscillation(cfg):
+def exp_oscillation(cfg, rep):
     """Oscillation decay on concentric balls: fit osc(B_sigma) ~ sigma^a
     and require a > 0; for nonnegative solutions also record the
     Harnack-form ratio sup / (inf + rhs norm term)."""
-    t0 = time.perf_counter()
-    dom = cfg.domain or fd.Domain.ball(np.zeros(cfg.n), 1.0)
-    cfg.domain = dom
+    dom = cfg.domain
     h = min(cfg.h_ladder)
     grid, coeff, f, u = _solve(cfg, h)
     rho0 = _rho0(cfg, coeff)
     r = np.linalg.norm(grid.points() - dom.center, axis=-1)
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
     oscs = []
     nonneg = bool(np.min(u.values[grid.interior]) >= -1e-12)
     fterm = (dom.radius ** (2.0 - cfg.n / cfg.q) / rho0
@@ -461,25 +445,19 @@ def exp_oscillation(cfg):
     rep.plots["osc_vs_sigma.csv"] = ("oscillation over concentric balls",
                                      {"sigma": list(cfg.sigma_ladder),
                                       "osc": oscs})
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
-def exp_w22(cfg):
+def exp_w22(cfg, rep):
     """Interior second-derivative control at n = 3, k = 2: the ratio
     ||D^2 u||_{L^2(inner)} / ||f/rho*_2||_{L^2} must be h-stable."""
-    t0 = time.perf_counter()
     if cfg.n != 3 or cfg.k != 2:
         raise ValueError("w22 experiment requires n = 3, k = 2")
-    dom = cfg.domain or fd.Domain.ball(np.zeros(3), 1.0)
-    cfg.domain = dom
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
     ratios = []
     for h in cfg.h_ladder:
         grid, coeff, f, u = _solve(cfg, h)
-        r = np.linalg.norm(grid.points() - dom.center, axis=-1)
+        r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         # fixed inner subdomain so the ratio is comparable across h
-        inner = fd.interior_eroded(grid, 2) & (r < 0.7 * dom.radius)
+        inner = fd.interior_eroded(grid, 2) & (r < 0.7 * cfg.domain.radius)
         num = fd.w22_seminorm(u, inner)
         rho = green.rho_star_field(coeff, 2, grid.interior)
         vals = np.zeros(grid.shape)
@@ -505,18 +483,25 @@ def exp_w22(cfg):
     else:
         rep.verdicts.append(Verdict("degenerate_all_runs", True,
                                     0.0, 0.0, 0.0))
-    rep.wall_time = time.perf_counter() - t0
-    return rep
 
 
+# name -> (experiment, whether it needs a domain: the unit ball by default)
 EXPERIMENTS = {
-    "max_principle": exp_max_principle,
-    "sharpness": exp_sharpness,
-    "log_family": exp_log_family,
-    "local_max": exp_local_max,
-    "oscillation": exp_oscillation,
-    "w22": exp_w22,
+    "max_principle": (exp_max_principle, True),
+    "sharpness": (exp_sharpness, False),
+    "log_family": (exp_log_family, False),
+    "local_max": (exp_local_max, True),
+    "oscillation": (exp_oscillation, True),
+    "w22": (exp_w22, True),
 }
+
+# exit code of `conelab` for each error an experiment may raise
+ERROR_EXIT_CODES = {ValueError: 2, symcone.NumericError: 3}
+
+
+def error_exit_code(exc):
+    return next(code for cls, code in ERROR_EXIT_CODES.items()
+                if isinstance(exc, cls))
 
 
 def worker_count(default=None):
@@ -539,20 +524,40 @@ def write_report(rep, out_dir):
 
 
 def run_one(name, cfg_dict):
-    """Dispatch a single named experiment on a raw config dict."""
+    """Run a single named experiment on a raw config dict; the report's
+    config echo carries the domain the experiment ran on."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {sorted(EXPERIMENTS)}")
     cfg = parse_config(cfg_dict)
-    return EXPERIMENTS[name](cfg)
+    experiment, on_domain = EXPERIMENTS[name]
+    t0 = time.perf_counter()
+    if on_domain and cfg.domain is None:
+        cfg = replace(cfg, domain=fd.Domain.ball(np.zeros(cfg.n), 1.0))
+    rep = ExperimentReport(cfg.name, cfg.to_dict())
+    experiment(cfg, rep)
+    rep.wall_time = time.perf_counter() - t0
+    return rep
+
+
+def _run_job(job):
+    """run_one on a battery entry; an error it raises becomes the report."""
+    cfg = {k: v for k, v in job.items() if k != "exp"}
+    try:
+        return run_one(job["exp"], cfg)
+    except tuple(ERROR_EXIT_CODES) as exc:
+        return ExperimentReport(str(cfg.get("name", "experiment")), cfg,
+                                exc=exc)
 
 
 def run_suite(battery, out_dir=None, workers=None):
     """Run a battery {"experiments": [{"exp": name, ...config...}]}.
 
     Experiments run concurrently up to the worker count; reports are
-    assembled in declaration order.  Returns (reports, exit_code) with
-    exit code 0 iff every verdict of every report passed.
+    assembled in declaration order.  A job that raises ValueError or
+    NumericError yields a report with that error, no verdicts and no
+    files.  Returns (reports, exit_code), the code being the highest of 0
+    (passed), 1 (a verdict failed) and error_exit_code of each error.
     """
     if isinstance(battery, str):
         battery = serialize.load_json(battery)
@@ -564,16 +569,13 @@ def run_suite(battery, out_dir=None, workers=None):
         _require(isinstance(job, dict) and "exp" in job,
                  f"experiments[{i}]: each entry needs an 'exp' field")
     nworkers = worker_count(workers or battery.get("workers"))
-    reports = []
-    if jobs:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            futures = [pool.submit(run_one, job["exp"],
-                                   {k: v for k, v in job.items()
-                                    if k != "exp"})
-                       for job in jobs]
-            reports = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        futures = [pool.submit(_run_job, job) for job in jobs]
+        reports = [f.result() for f in futures]
     if out_dir is not None:
         for rep in reports:
-            write_report(rep, os.path.join(out_dir, rep.name))
-    code = 0 if all(rep.passed for rep in reports) else 1
+            if rep.exc is None:
+                write_report(rep, os.path.join(out_dir, rep.name))
+    code = max((error_exit_code(rep.exc) if rep.exc else int(not rep.passed)
+                for rep in reports), default=0)
     return reports, code

@@ -276,6 +276,11 @@ def _rho_star_newton(lam, k):
     return float(lam @ mu / n)
 
 
+def _reject_dual(k, margin):
+    raise ValueError(f"spectrum not in dual cone G*_{k} "
+                     f"(margin {margin:.3e})")
+
+
 def rho_star_detail(lam, k):
     """Dual gauge rho*_k(lam) plus a flag marking the cone boundary.
 
@@ -289,15 +294,11 @@ def rho_star_detail(lam, k):
     if scale == 0.0:
         return 0.0, True
 
-    def reject(margin):
-        raise ValueError(f"spectrum not in dual cone G*_{k} "
-                         f"(margin {margin:.3e})")
-
     tol = MEMBERSHIP_TOL * scale
     if k in (1, 2, n):
         margin = dual_margin(lam, k)
         if margin < -tol:
-            reject(margin)
+            _reject_dual(k, margin)
         if k == 1:
             val = float(lam.mean())
         elif k == n:
@@ -329,10 +330,6 @@ def rho_star_program(lam, k):
     if scale == 0.0:
         return 0.0
 
-    def reject(margin):
-        raise ValueError(f"spectrum not in dual cone G*_{k} "
-                         f"(margin {margin:.3e})")
-
     tol = MEMBERSHIP_TOL * scale
     lam_s = lam / scale
     target = float(comb(n, k))
@@ -356,10 +353,10 @@ def rho_star_program(lam, k):
     if best is None:
         margin = dual_margin(lam, k)
         if margin < -tol:
-            reject(margin)
+            _reject_dual(k, margin)
         raise NumericError("rho*_k minimization did not converge")
     if best < -MEMBERSHIP_TOL or np.max(np.abs(res.x)) > 0.99 * box:
-        reject(dual_margin(lam, k))
+        _reject_dual(k, dual_margin(lam, k))
     newton = _rho_star_newton(lam_s, k)
     if newton is not None and 0.0 <= newton < best:
         best = newton
@@ -463,7 +460,8 @@ def _check_symmetric(A):
 
 def spectrum_of(A, max_sweeps=100):
     """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi
-    rotations (off-diagonal norm stop 1e-13 * ||A||)."""
+    rotations (off-diagonal norm stop 1e-13 * ||A||).  Kept over eigvalsh,
+    whose last bits differ and would change the reports that use it."""
     A = _check_symmetric(A).copy()
     n = A.shape[0]
     norm = np.linalg.norm(A)

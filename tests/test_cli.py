@@ -158,6 +158,27 @@ class TestSuiteCommand:
         assert code == 0 and d["exit_code"] == 0
         assert d["reports"][0]["passed"] is True
 
+    def test_raising_job_listed(self, capsys, tmp_path):
+        battery = {"experiments": [
+            {"exp": "log_family", "name": "lg", "n": 4, "k": 2, "q": 2.0,
+             "mode": "exploratory", "eps_ladder": [0.125, 0.0625, 0.03125]},
+            {"exp": "max_principle", "name": "low_k", "n": 4, "k": 2,
+             "q": 2.0, "mode": "exploratory"}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        code = cli.main(["suite", "--config", str(p),
+                         "--out", str(tmp_path / "suite")])
+        captured = capsys.readouterr()
+        d = json.loads(captured.out)
+        assert code == 2 and d["exit_code"] == 2
+        assert [(r["name"], r["passed"], r["error"]) for r in d["reports"]] \
+            == [("lg", True, None),
+                ("low_k", False,
+                 "ValueError: explicit-constant mode requires k > n/2")]
+        assert captured.err == ("error: explicit-constant mode requires "
+                                "k > n/2\n")
+        assert (tmp_path / "suite" / "lg" / "report.json").exists()
+
     def test_bad_battery(self, capsys, tmp_path):
         p = tmp_path / "battery.json"
         p.write_text(json.dumps({"experiments": [{"name": "x"}]}))

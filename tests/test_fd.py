@@ -219,8 +219,11 @@ def _solve_records(caplog, coeff, f, bc):
     return u, [r for r in caplog.records if r.name == "conelab.fd"]
 
 
-def _policy_problem(n=3, h=1 / 8):
-    g = fd.build_grid(unit_ball(n), h)
+def _policy_problem(domain=3, h=1 / 8):
+    """Grid, source and Dirichlet data x_1 on domain (n: the unit n-ball)."""
+    if isinstance(domain, int):
+        domain = unit_ball(domain)
+    g = fd.build_grid(domain, h)
     f = fd.field_from_function(
         g, lambda x: 1.0 + np.exp(-np.sum(x ** 2, -1)))
     bc = fd.boundary_field(g, lambda x: x[..., 0])
@@ -230,19 +233,22 @@ def _policy_problem(n=3, h=1 / 8):
 class TestSolverPolicy:
     # small systems of each operator kind; forcing the fallback gives the
     # direct solution of the same system as the reference
-    @pytest.mark.parametrize("n, h, builder, monotone", [
+    ANISO = fd.constant_coeff(
+        [[2.0, 0.9, 0.0], [0.9, 1.0, 0.3], [0.0, 0.3, 0.5]],
+        b=[20.0, 0.0, 0.0], c=-5.0)
+
+    @pytest.mark.parametrize("domain, h, builder, monotone", [
         (2, 1 / 12, fd.identity_coeff(), True),
         (3, 1 / 8, fd.identity_coeff(), True),
         (3, 1 / 8, fd.coeff_gilbarg_serrin(3, 0.5), False),
         (3, 1 / 8, fd.coeff_gilbarg_serrin(3, -0.9), False),
         (3, 1 / 8, fd.constant_coeff(np.diag([4.0, 1.0, 0.25])), True),
-        (3, 1 / 8, fd.constant_coeff(
-            [[2.0, 0.9, 0.0], [0.9, 1.0, 0.3], [0.0, 0.3, 0.5]],
-            b=[20.0, 0.0, 0.0], c=-5.0), False),
+        (3, 1 / 8, ANISO, False),
+        (unit_box(3), 1 / 8, ANISO, False),
     ])
     def test_iterative_matches_direct(self, caplog, monkeypatch,
-                                      n, h, builder, monotone):
-        g, f, bc = _policy_problem(n, h)
+                                      domain, h, builder, monotone):
+        g, f, bc = _policy_problem(domain, h)
         coeff = builder(g)
         with (contextlib.nullcontext() if monotone
               else pytest.warns(fd.MonotonicityWarning)):
@@ -254,6 +260,31 @@ class TestSolverPolicy:
         err = (np.linalg.norm(u_it.values - u_lu.values)
                / np.linalg.norm(u_lu.values))
         assert err <= 1e-8
+        # apply_L and the assembly read one stencil table: apply_L
+        # recomputes the residual of the assembled system, whose right-hand
+        # side is -(f + L g) with g extended by zero into the interior
+        res = (fd.apply_L(u_it, coeff).values + f.values)[g.interior]
+        rhs = (fd.apply_L(bc, coeff).values + f.values)[g.interior]
+        assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("builder, all_wrong", [
+        (fd.identity_coeff(), False),
+        (fd.coeff_gilbarg_serrin(3, 0.25), True),
+    ])
+    def test_wrong_sign_count(self, caplog, builder, all_wrong):
+        g, f, bc = _policy_problem()
+        nuk = int(np.count_nonzero(g.interior))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", fd.MonotonicityWarning)
+            _, recs = _solve_records(caplog, builder(g), f, bc)
+        texts = [str(w.message) for w in caught
+                 if w.category is fd.MonotonicityWarning]
+        assert texts == ([f"off-diagonal stencil weight with wrong sign at "
+                          f"{nuk} of {nuk} interior nodes; the discrete "
+                          f"maximum principle may fail"] if all_wrong
+                         else [])
+        wrong = nuk if all_wrong else 0
+        assert recs[-1].getMessage().endswith(f" wrong_sign={wrong}")
 
     def test_debug_record_per_solve(self, caplog):
         g, f, bc = _policy_problem()
@@ -262,7 +293,7 @@ class TestSolverPolicy:
         msg = recs[0].getMessage()
         nuk = int(np.count_nonzero(g.interior))
         assert f"unknowns={nuk} " in msg
-        for key in ("nnz=", "iterations=", "rel_res="):
+        for key in ("nnz=", "iterations=", "rel_res=", "wrong_sign="):
             assert key in msg
         iters = int(msg.split("iterations=")[1].split()[0])
         assert 0 < iters < 100

@@ -10,6 +10,19 @@ def ball_dict(n, r=1.0):
     return {"kind": "ball", "center": [0.0] * n, "radius": r}
 
 
+LOG_JOB = {"exp": "log_family", "name": "lg", "n": 4, "k": 2, "q": 2.0,
+           "mode": "exploratory", "eps_ladder": [0.125, 0.0625, 0.03125]}
+# c = 4 / h^2 cancels the center weight: a singular system, NumericError
+SINGULAR_JOB = {"exp": "max_principle", "name": "singular", "n": 2, "k": 2,
+                "q": 2.0, "h": 0.125,
+                "operator": {"type": "constant",
+                             "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                             "c": 256.0}}
+# explicit-constant mode needs k > n/2: ValueError once the job runs
+LOW_K_JOB = {"exp": "max_principle", "name": "low_k", "n": 4, "k": 2,
+             "q": 2.0, "mode": "exploratory"}
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = lab.parse_config({"n": 3, "k": 2, "q": 2.0})
@@ -164,6 +177,12 @@ class TestMaxPrinciple:
                                           "q": 3.0, "mode": "exploratory",
                                           "h": [0.125]})
 
+    def test_default_domain_echoed(self):
+        cfg = {"name": "m", "n": 3, "k": 2, "q": 2.0, "h": [0.125]}
+        rep = lab.run_one("max_principle", cfg)
+        assert rep.config_echo["domain"] == ball_dict(3)
+        assert "domain" not in cfg and rep.wall_time > 0.0
+
 
 class TestOscillation:
     def test_quadratic_decay(self):
@@ -213,6 +232,27 @@ class TestRunSuite:
         assert set(d) == {"name", "config", "runs", "slopes", "verdicts"}
         plot = (tmp_path / "lg" / "norm_vs_eps.csv").read_text()
         assert plot.startswith("#")
+
+    @pytest.mark.parametrize("bad, code, error", [
+        (SINGULAR_JOB, 3, "NumericError: solve residual too large"),
+        (LOW_K_JOB, 2, "ValueError: explicit-constant mode requires k > n/2"),
+    ])
+    def test_raising_job_keeps_other_reports(self, tmp_path, bad, code,
+                                             error):
+        reports, got = lab.run_suite({"experiments": [LOG_JOB, bad]},
+                                     out_dir=str(tmp_path))
+        assert got == code
+        ok, failed = reports
+        assert ok.passed and ok.error is None
+        assert (tmp_path / "lg" / "report.json").exists()
+        assert failed.name == bad["name"] and not failed.passed
+        assert failed.verdicts == [] and failed.error.startswith(error)
+        assert not (tmp_path / bad["name"]).exists()
+
+    def test_highest_error_code_wins(self):
+        _, code = lab.run_suite({"experiments": [LOW_K_JOB, SINGULAR_JOB,
+                                                 LOG_JOB]})
+        assert code == 3
 
     def test_malformed_battery(self):
         with pytest.raises(ValueError, match="experiments"):

@@ -36,6 +36,9 @@ from .symcone import NumericError
 
 MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
+SOLVE_RTOL = 1e-10      # relative tolerance BiCGSTAB iterates to
+# the keys of a domain's dict beside "kind": the arguments of Domain.<kind>
+DOMAIN_KEYS = {"ball": ("center", "radius"), "box": ("lo", "hi")}
 
 log = logging.getLogger(__name__)
 
@@ -83,11 +86,12 @@ class Domain:
 
     @staticmethod
     def from_dict(d):
-        if d["kind"] == "ball":
-            return Domain.ball(d["center"], d["radius"])
-        if d["kind"] == "box":
-            return Domain.box(d["lo"], d["hi"])
-        raise ValueError(f"unknown domain kind {d['kind']!r}")
+        """Inverse of to_dict; ValueError on any other set of keys."""
+        keys = DOMAIN_KEYS.get(d.get("kind"))
+        if keys is None or set(d) != {"kind", *keys}:
+            raise ValueError(f"need kind 'ball' with center and radius or "
+                             f"kind 'box' with lo and hi, got {d!r}")
+        return getattr(Domain, d["kind"])(*(d[key] for key in keys))
 
 
 class Grid:
@@ -361,7 +365,7 @@ def _rel_residual(A, x, rhs):
                  / max(np.linalg.norm(rhs), 1e-300))
 
 
-def _solve_linear(A, rhs, rtol):
+def _solve_linear(A, rhs):
     """x with A x = rhs: BiCGSTAB first, one fallback to sparse LU.
 
     Returns (x, path, iterations, relative residual).
@@ -376,7 +380,7 @@ def _solve_linear(A, rhs, rtol):
             nonlocal iterations
             iterations += 1
         maxiter = int(50 * np.sqrt(nuk)) + 100
-        sol, info = bicgstab(A, rhs, rtol=rtol, atol=0.0,
+        sol, info = bicgstab(A, rhs, rtol=SOLVE_RTOL, atol=0.0,
                              M=sparse.diags(1.0 / d), maxiter=maxiter,
                              callback=count)
         res = _rel_residual(A, sol, rhs)
@@ -395,11 +399,11 @@ def _solve_linear(A, rhs, rtol):
     return sol, "spsolve", iterations, res
 
 
-def solve_dirichlet(coeff, f, g, rtol=1e-10):
+def solve_dirichlet(coeff, f, g):
     """Solve Lu = -f in the interior with u = g on boundary nodes.
 
     The linear system is solved by BiCGSTAB with diagonal preconditioning
-    to relative tolerance rtol, whatever its size.  A zero diagonal, a
+    to relative tolerance SOLVE_RTOL, whatever its size.  A zero diagonal, a
     BiCGSTAB failure (info != 0) or a relative residual above RESIDUAL_TOL
     triggers one direct sparse solve, logged as a WARNING with its reason;
     NumericError is raised only if the direct residual also exceeds
@@ -439,7 +443,7 @@ def solve_dirichlet(coeff, f, g, rtol=1e-10):
     A = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nuk, nuk))
-    sol, path, iterations, res = _solve_linear(A, rhs, rtol)
+    sol, path, iterations, res = _solve_linear(A, rhs)
     log.debug("solve: path=%s unknowns=%d nnz=%d iterations=%d rel_res=%.2e "
               "wrong_sign=%d", path, nuk, A.nnz, iterations, res, n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)

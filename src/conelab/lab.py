@@ -3,23 +3,23 @@
 Each experiment consumes an ExperimentConfig, runs a ladder of solves or
 quadratures, fits slopes where asymptotics are claimed, and fills the
 ExperimentReport that run_one hands it; verdicts are pure functions of the
-stored numbers.
+stored numbers.  The config vocabulary is declared once: CONFIG_KEYS (each
+field), OPERATORS and SOURCES (each type, its params and its builder) and
+EXPERIMENTS (each experiment and the domains it runs on); parse_config and
+run_one reject whatever they do not declare.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import fd, green, radial, serialize, symcone
-
-DEFAULT_H_LADDER = (1 / 8, 1 / 12, 1 / 16)
-DEFAULT_EPS_LADDER = tuple(2.0 ** -j for j in range(3, 11))
-DEFAULT_SIGMA_LADDER = (0.25, 0.32, 0.40, 0.50, 0.60)
 
 
 @dataclass
@@ -108,35 +108,31 @@ def aitken_limit(seq):
 
 @dataclass
 class ExperimentConfig:
-    name: str
     n: int
     k: int
     q: float
+    name: str = "experiment"
     domain: fd.Domain | None = None
-    h_ladder: tuple = DEFAULT_H_LADDER
+    h_ladder: tuple = (1 / 8, 1 / 12, 1 / 16)
     operator: dict = field(default_factory=lambda: {"type": "identity"})
     f: dict = field(default_factory=lambda: {"type": "zero"})
-    seed: int = 0
-    eps_ladder: tuple = DEFAULT_EPS_LADDER
+    seed: int = 0    # echoed in the report; no experiment draws from it
+    eps_ladder: tuple = tuple(2.0 ** -j for j in range(3, 11))
     q_list: tuple = ()
-    sigma_ladder: tuple = DEFAULT_SIGMA_LADDER
+    sigma_ladder: tuple = (0.25, 0.32, 0.40, 0.50, 0.60)
     sigma: float = 0.5
     p: float = 2.0
     mode: str = "strict"
     q_rule_violation: bool = False
 
     def to_dict(self):
-        d = {"name": self.name, "n": self.n, "k": self.k, "q": self.q,
-             "h": list(self.h_ladder), "operator": dict(self.operator),
-             "f": dict(self.f), "seed": self.seed,
-             "eps_ladder": list(self.eps_ladder),
-             "q_list": list(self.q_list),
-             "sigma_ladder": list(self.sigma_ladder),
-             "sigma": self.sigma, "p": self.p, "mode": self.mode}
-        if self.domain is not None:
-            d["domain"] = self.domain.to_dict()
-        if self.q_rule_violation:
-            d["q_rule_violation"] = True
+        """The JSON config that parses back to self; the domain and the
+        exponent-rule flag appear only when set."""
+        d = {}
+        for key, (attr, _, dump) in CONFIG_KEYS.items():
+            value = getattr(self, attr)
+            if value is not None and value is not False:
+                d[key] = dump(value)
         return d
 
 
@@ -145,105 +141,197 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-def _finite_array(value, name):
-    """value as a float array, or ValueError naming the config field."""
+def _load(name, load, *args):
+    """load(*args), or ValueError naming the config field name."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"field '{name}': expected numbers, "
-                         f"got {value!r}") from None
-    _require(np.all(np.isfinite(arr)),
-             f"field '{name}': entries must be finite, got {value!r}")
-    return arr
+        return load(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field '{name}': {exc}") from None
+
+
+def _integer(value):
+    num = float(value)
+    _require(num.is_integer(), f"need an integer, got {value!r}")
+    return int(num)
+
+
+def _numbers(value):
+    """A number or a list of numbers, as a tuple of floats."""
+    return tuple(map(float, value if isinstance(value, (list, tuple))
+                     else [value]))
+
+
+def _ladder(value):
+    xs = _numbers(value)
+    _require(xs and all(x > 0 for x in xs),
+             f"need one or more values > 0, got {value!r}")
+    return xs
+
+
+def _object(value):
+    _require(isinstance(value, dict), f"need a JSON object, got {value!r}")
+    return dict(value)
+
+
+# JSON key -> (ExperimentConfig attribute, load from JSON, dump to JSON);
+# the defaults live on ExperimentConfig, and n, k, q have none
+CONFIG_KEYS = {
+    "name": ("name", str, str),
+    "n": ("n", _integer, int),
+    "k": ("k", _integer, int),
+    "q": ("q", float, float),
+    "domain": ("domain", lambda v: fd.Domain.from_dict(_object(v)),
+               fd.Domain.to_dict),
+    "h": ("h_ladder", _ladder, list),
+    "operator": ("operator", _object, dict),
+    "f": ("f", _object, dict),
+    "seed": ("seed", int, int),
+    "eps_ladder": ("eps_ladder", _ladder, list),
+    "q_list": ("q_list", _numbers, list),
+    "sigma_ladder": ("sigma_ladder", _ladder, list),
+    "sigma": ("sigma", float, float),
+    "p": ("p", float, float),
+    "mode": ("mode", str, str),
+    "q_rule_violation": ("q_rule_violation", bool, bool),
+}
+_REQUIRED = {f.name for f in fields(ExperimentConfig)
+             if f.default is MISSING and f.default_factory is MISSING}
+
+
+# a param's number of axes, each of length n
+NUMBER, VECTOR, MATRIX = 0, 1, 2
+
+
+def _check_param(value, ndim, n):
+    arr = np.asarray(value, dtype=float)
+    _require(arr.shape == (n,) * ndim and np.all(np.isfinite(arr)),
+             f"need {('one', n, f'{n} x {n}')[ndim]} finite "
+             f"number{'s' * bool(ndim)}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One operator or source type: its builder, its required and optional
+    params (name -> NUMBER, VECTOR or MATRIX), and for an operator the
+    spectrum of A, which is the same at every point for each operator
+    type."""
+    build: Callable
+    required: dict = field(default_factory=dict)
+    optional: dict = field(default_factory=dict)
+    spectrum: Callable | None = None
+
+
+# operator type -> Kind; an operator's params sit beside its "type"
+OPERATORS = {
+    "identity": Kind(lambda n, op: fd.identity_coeff(),
+                     spectrum=lambda n, op: np.ones(n)),
+    "gilbarg_serrin": Kind(
+        lambda n, op: fd.coeff_gilbarg_serrin(n, float(op["alpha"])),
+        required={"alpha": NUMBER},
+        spectrum=lambda n, op: symcone.gs_spectrum(n, float(op["alpha"]))),
+    "constant": Kind(
+        lambda n, op: fd.constant_coeff(op["matrix"], op.get("b"),
+                                        op.get("c")),
+        required={"matrix": MATRIX}, optional={"b": VECTOR, "c": NUMBER},
+        spectrum=lambda n, op: symcone.spectrum_of(op["matrix"])),
+}
+
+
+def _gaussian(grid, params):
+    amp = float(params.get("amp", 1.0))
+    w = float(params.get("width", 0.5))
+    c = np.asarray(params.get("center", np.zeros(grid.dim)), dtype=float)
+    return fd.field_from_function(
+        grid, lambda x: amp * np.exp(-np.sum((x - c) ** 2, -1) / w ** 2))
+
+
+def _radial_power(grid, params):
+    amp = float(params.get("amp", 1.0))
+    pw = float(params.get("power", 1.0))
+    return fd.field_from_function(
+        grid, lambda x: amp * np.sum(x ** 2, -1) ** (pw / 2.0))
+
+
+# source type -> Kind; a source's params sit under its "params"
+SOURCES = {
+    "zero": Kind(lambda grid, _: fd.ScalarField(grid, np.zeros(grid.shape))),
+    "constant": Kind(lambda grid, params: fd.field_from_function(
+        grid, lambda x: np.full(x.shape[:-1], float(params["value"]))),
+        required={"value": NUMBER}),
+    "gaussian": Kind(_gaussian, optional={"amp": NUMBER, "width": NUMBER,
+                                          "center": VECTOR}),
+    "radial_power": Kind(_radial_power,
+                         optional={"amp": NUMBER, "power": NUMBER}),
+}
+
+
+def _check_kind(table, spec, name, params, prefix, n):
+    """spec's type is a key of table and params are the ones it takes;
+    ValueError names name.type or prefix.<param>."""
+    kind = table.get(spec.get("type"))
+    _require(kind is not None, f"field '{name}.type': unknown type "
+             f"{spec.get('type')!r}; choose from {sorted(table)}")
+    takes = {**kind.required, **kind.optional}
+    for key in kind.required:
+        _require(key in params, f"field '{prefix}.{key}' is required")
+    for key, value in params.items():
+        _require(key in takes, f"field '{prefix}.{key}': not a param of "
+                 f"this type, which takes {sorted(takes)}")
+        _load(f"{prefix}.{key}", _check_param, value, takes[key], n)
 
 
 def parse_config(d):
-    """Validated ExperimentConfig from a plain JSON dict."""
+    """Validated ExperimentConfig from a plain JSON dict; a ValueError
+    names each unknown, missing or malformed field."""
     _require(isinstance(d, dict), "config must be a JSON object")
-    for key in ("n", "k", "q"):
-        _require(key in d, f"config field '{key}' is required")
-    n, k = int(d["n"]), int(d["k"])
-    q = float(d["q"])
+    values = {}
+    for key, value in d.items():
+        _require(key in CONFIG_KEYS, f"unknown config field {key!r}; "
+                 f"choose from {sorted(CONFIG_KEYS)}")
+        attr, load, _ = CONFIG_KEYS[key]
+        values[attr] = _load(key, load, value)
+    missing = sorted(_REQUIRED - set(values))
+    _require(not missing, f"config fields {missing} are required")
+    cfg = ExperimentConfig(**values)
+    n, k, q = cfg.n, cfg.k, cfg.q
     _require(n >= 2, f"field 'n': need n >= 2, got {n}")
     _require(1 <= k <= n, f"field 'k': need 1 <= k <= n, got {k}")
     _require(q >= 1, f"field 'q': need q >= 1, got {q}")
-    mode = d.get("mode", "strict")
-    _require(mode in ("strict", "exploratory"),
-             f"field 'mode': unknown mode {mode!r}")
+    _require(cfg.mode in ("strict", "exploratory"),
+             f"field 'mode': unknown mode {cfg.mode!r}")
+    _require(cfg.domain is None or cfg.domain.dim == n,
+             f"field 'domain': need a domain in {n} dimensions")
+    op, src = cfg.operator, cfg.f
+    _check_kind(OPERATORS, op, "operator",
+                {key: v for key, v in op.items() if key != "type"},
+                "operator", n)
+    _require(set(src) <= {"type", "params"},
+             "field 'f': a source takes only 'type' and 'params'")
+    _check_kind(SOURCES, src, "f",
+                _load("f.params", _object, src.get("params", {})),
+                "f.params", n)
     # exponent rule: q = k when k > n/2, q > n/2 otherwise
     violation = (q != k) if 2 * k > n else (q <= n / 2)
-    if violation and mode == "strict":
+    if violation and cfg.mode == "strict":
         raise ValueError(
             f"fields 'q','k','n': exponent rule violated "
             f"(need q = k for k > n/2, q > n/2 otherwise; "
             f"got n={n}, k={k}, q={q}); use exploratory mode to override")
-    dom = fd.Domain.from_dict(d["domain"]) if "domain" in d else None
-    h = d.get("h", list(DEFAULT_H_LADDER))
-    h_ladder = tuple(float(x) for x in (h if isinstance(h, (list, tuple))
-                                        else [h]))
-    _require(all(x > 0 for x in h_ladder), "field 'h': spacings must be > 0")
-    op = dict(d.get("operator", {"type": "identity"}))
-    _require(op.get("type") in ("identity", "gilbarg_serrin", "constant"),
-             f"field 'operator.type': unknown type {op.get('type')!r}")
-    for key in ("b", "c"):
-        _require(key not in op or op["type"] == "constant",
-                 f"field 'operator.{key}': only the constant operator "
-                 f"takes {key}")
-    if "b" in op:
-        _require(_finite_array(op["b"], "operator.b").shape == (n,),
-                 f"field 'operator.b': need {n} entries, got {op['b']!r}")
-    if "c" in op:
-        _require(_finite_array(op["c"], "operator.c").ndim == 0,
-                 f"field 'operator.c': need one number, got {op['c']!r}")
-    fspec = dict(d.get("f", {"type": "zero"}))
-    _require(fspec.get("type") in ("zero", "constant", "gaussian",
-                                   "radial_power"),
-             f"field 'f.type': unknown type {fspec.get('type')!r}")
-    return ExperimentConfig(
-        name=str(d.get("name", "experiment")), n=n, k=k, q=q, domain=dom,
-        h_ladder=h_ladder, operator=op, f=fspec,
-        seed=int(d.get("seed", 0)),
-        eps_ladder=tuple(float(x) for x in d.get("eps_ladder",
-                                                 DEFAULT_EPS_LADDER)),
-        q_list=tuple(float(x) for x in d.get("q_list", ())),
-        sigma_ladder=tuple(float(x) for x in d.get("sigma_ladder",
-                                                   DEFAULT_SIGMA_LADDER)),
-        sigma=float(d.get("sigma", 0.5)), p=float(d.get("p", 2.0)),
-        mode=mode, q_rule_violation=bool(violation))
+    _require(values.get("q_rule_violation", violation) == violation,
+             f"field 'q_rule_violation': the exponent rule gives "
+             f"{violation}")
+    cfg.q_rule_violation = violation
+    return cfg
 
 
 def coeff_builder(cfg):
-    op = cfg.operator
-    if op["type"] == "identity":
-        return fd.identity_coeff()
-    if op["type"] == "gilbarg_serrin":
-        return fd.coeff_gilbarg_serrin(cfg.n, float(op["alpha"]))
-    if op["type"] == "constant":
-        return fd.constant_coeff(np.asarray(op["matrix"], dtype=float),
-                                 op.get("b"), op.get("c"))
-    raise ValueError(f"unknown operator type {op['type']!r}")
+    """Builder (grid -> CoeffField) of the config's operator."""
+    return OPERATORS[cfg.operator["type"]].build(cfg.n, cfg.operator)
 
 
 def rhs_field(cfg, grid):
-    spec = cfg.f
-    params = spec.get("params", {})
-    if spec["type"] == "zero":
-        return fd.ScalarField(grid, np.zeros(grid.shape))
-    if spec["type"] == "constant":
-        return fd.field_from_function(
-            grid, lambda x: np.full(x.shape[:-1], float(params["value"])))
-    if spec["type"] == "gaussian":
-        amp = float(params.get("amp", 1.0))
-        w = float(params.get("width", 0.5))
-        c = np.asarray(params.get("center", np.zeros(grid.dim)), dtype=float)
-        return fd.field_from_function(
-            grid, lambda x: amp * np.exp(-np.sum((x - c) ** 2, -1) / w ** 2))
-    if spec["type"] == "radial_power":
-        amp = float(params.get("amp", 1.0))
-        pw = float(params.get("power", 1.0))
-        return fd.field_from_function(
-            grid, lambda x: amp * np.sum(x ** 2, -1) ** (pw / 2.0))
-    raise ValueError(f"unknown f type {spec['type']!r}")
+    """The config's source f sampled on grid."""
+    return SOURCES[cfg.f["type"]].build(grid, cfg.f.get("params", {}))
 
 
 def _solve(cfg, h):
@@ -360,17 +448,11 @@ def exp_log_family(cfg, rep):
         {"eps": list(cfg.eps_ladder), "norm": norms, "inf": infs})
 
 
-def _rho0(cfg, coeff):
-    """Uniform lower bound on rho*_k over the grid.  Spatially constant
-    for the supported operator families."""
-    if cfg.operator["type"] == "gilbarg_serrin":
-        lam = symcone.gs_spectrum(cfg.n, float(cfg.operator["alpha"]))
-        return symcone.rho_star(lam, cfg.k)
-    if cfg.operator["type"] == "constant":
-        lam = symcone.spectrum_of(np.asarray(cfg.operator["matrix"],
-                                             dtype=float))
-        return symcone.rho_star(lam, cfg.k)
-    return symcone.rho_star(np.ones(cfg.n), cfg.k)
+def _rho0(cfg):
+    """Uniform lower bound on rho*_k over the grid: rho*_k of the spectrum
+    of A, the same at every point for each operator type."""
+    op = cfg.operator
+    return symcone.rho_star(OPERATORS[op["type"]].spectrum(cfg.n, op), cfg.k)
 
 
 def exp_local_max(cfg, rep):
@@ -380,8 +462,8 @@ def exp_local_max(cfg, rep):
     R = cfg.domain.radius
     ratios = []
     for h in cfg.h_ladder:
-        grid, coeff, f, u = _solve(cfg, h)
-        rho0 = _rho0(cfg, coeff)
+        grid, _, f, u = _solve(cfg, h)
+        rho0 = _rho0(cfg)
         r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         inner = grid.interior & (r < cfg.sigma * R)
         up = fd.ScalarField(grid, np.maximum(u.values, 0.0))
@@ -409,8 +491,8 @@ def exp_oscillation(cfg, rep):
     Harnack-form ratio sup / (inf + rhs norm term)."""
     dom = cfg.domain
     h = min(cfg.h_ladder)
-    grid, coeff, f, u = _solve(cfg, h)
-    rho0 = _rho0(cfg, coeff)
+    grid, _, f, u = _solve(cfg, h)
+    rho0 = _rho0(cfg)
     r = np.linalg.norm(grid.points() - dom.center, axis=-1)
     oscs = []
     nonneg = bool(np.min(u.values[grid.interior]) >= -1e-12)
@@ -485,14 +567,15 @@ def exp_w22(cfg, rep):
                                     0.0, 0.0, 0.0))
 
 
-# name -> (experiment, whether it needs a domain: the unit ball by default)
+# name -> (experiment, the domain kinds it runs on: the unit ball by
+# default; none for the radial experiments)
 EXPERIMENTS = {
-    "max_principle": (exp_max_principle, True),
-    "sharpness": (exp_sharpness, False),
-    "log_family": (exp_log_family, False),
-    "local_max": (exp_local_max, True),
-    "oscillation": (exp_oscillation, True),
-    "w22": (exp_w22, True),
+    "max_principle": (exp_max_principle, ("ball", "box")),
+    "sharpness": (exp_sharpness, ()),
+    "log_family": (exp_log_family, ()),
+    "local_max": (exp_local_max, ("ball",)),
+    "oscillation": (exp_oscillation, ("ball",)),
+    "w22": (exp_w22, ("ball",)),
 }
 
 # exit code of `conelab` for each error an experiment may raise
@@ -504,16 +587,14 @@ def error_exit_code(exc):
                 if isinstance(exc, cls))
 
 
-def worker_count(default=None):
+def worker_count():
+    """Suite threads: CONELAB_WORKERS if set, else min(4, cpu_count)."""
     env = os.environ.get("CONELAB_WORKERS")
-    if env is not None:
-        cnt = int(env)
-        if cnt < 1:
-            raise ValueError("CONELAB_WORKERS must be >= 1")
-        return cnt
-    if default is not None:
-        return default
-    return min(4, os.cpu_count() or 1)
+    if env is None:
+        return min(4, os.cpu_count() or 1)
+    cnt = int(env)
+    _require(cnt >= 1, "CONELAB_WORKERS must be >= 1")
+    return cnt
 
 
 def write_report(rep, out_dir):
@@ -530,10 +611,13 @@ def run_one(name, cfg_dict):
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {sorted(EXPERIMENTS)}")
     cfg = parse_config(cfg_dict)
-    experiment, on_domain = EXPERIMENTS[name]
+    experiment, kinds = EXPERIMENTS[name]
     t0 = time.perf_counter()
-    if on_domain and cfg.domain is None:
+    if kinds and cfg.domain is None:
         cfg = replace(cfg, domain=fd.Domain.ball(np.zeros(cfg.n), 1.0))
+    if kinds and cfg.domain.kind not in kinds:
+        raise ValueError(f"field 'domain': {name} runs on a "
+                         f"{' or '.join(kinds)}, got a {cfg.domain.kind}")
     rep = ExperimentReport(cfg.name, cfg.to_dict())
     experiment(cfg, rep)
     rep.wall_time = time.perf_counter() - t0
@@ -546,14 +630,14 @@ def _run_job(job):
     try:
         return run_one(job["exp"], cfg)
     except tuple(ERROR_EXIT_CODES) as exc:
-        return ExperimentReport(str(cfg.get("name", "experiment")), cfg,
-                                exc=exc)
+        return ExperimentReport(str(cfg.get("name", ExperimentConfig.name)),
+                                cfg, exc=exc)
 
 
-def run_suite(battery, out_dir=None, workers=None):
+def run_suite(battery, out_dir=None):
     """Run a battery {"experiments": [{"exp": name, ...config...}]}.
 
-    Experiments run concurrently up to the worker count; reports are
+    Experiments run concurrently on worker_count() threads; reports are
     assembled in declaration order.  A job that raises ValueError or
     NumericError yields a report with that error, no verdicts and no
     files.  Returns (reports, exit_code), the code being the highest of 0
@@ -561,15 +645,15 @@ def run_suite(battery, out_dir=None, workers=None):
     """
     if isinstance(battery, str):
         battery = serialize.load_json(battery)
-    _require(isinstance(battery, dict) and "experiments" in battery,
-             "battery config needs an 'experiments' list")
+    _require(isinstance(battery, dict), "battery config must be an object")
+    _require(set(battery) == {"experiments"}, f"battery config needs one "
+             f"field, an 'experiments' list; got {sorted(battery)}")
     jobs = battery["experiments"]
     _require(isinstance(jobs, list), "'experiments' must be a list")
     for i, job in enumerate(jobs):
         _require(isinstance(job, dict) and "exp" in job,
                  f"experiments[{i}]: each entry needs an 'exp' field")
-    nworkers = worker_count(workers or battery.get("workers"))
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         futures = [pool.submit(_run_job, job) for job in jobs]
         reports = [f.result() for f in futures]
     if out_dir is not None:

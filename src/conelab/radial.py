@@ -16,6 +16,8 @@ from scipy.interpolate import CubicSpline
 
 from .symcone import NumericError
 
+QUAD_REL_TOL = 1e-9     # relative tolerance radial_lq_norm asks of quad
+
 
 def unit_ball_volume(n):
     """omega_n: volume of the unit ball in R^n (pi, 4pi/3, pi^2/2, ...)."""
@@ -80,7 +82,7 @@ def radial_fk(n, k, prof, r):
             + comb(n - 1, k - 1) * t ** (k - 1) * prof.d2u(r))
 
 
-def radial_lq_norm(prof, n, q, r_range, rel_tol=1e-9):
+def radial_lq_norm(prof, n, q, r_range):
     """(integral |u(r)|^q n omega_n r^{n-1} dr)^{1/q} by adaptive
     quadrature over r_range, splitting at profile breakpoints."""
     if q < 1:
@@ -95,7 +97,8 @@ def radial_lq_norm(prof, n, q, r_range, rel_tol=1e-9):
             warnings.simplefilter("ignore", IntegrationWarning)
             val, err = quad(lambda r: np.abs(prof.u(r)) ** q
                             * surf * r ** (n - 1),
-                            lo, hi, limit=200, epsrel=rel_tol, epsabs=0.0)
+                            lo, hi, limit=200, epsrel=QUAD_REL_TOL,
+                            epsabs=0.0)
         if err > 1e-7 * max(abs(val), 1e-300) + 1e-13:
             raise NumericError(f"quadrature did not converge on "
                                f"[{lo}, {hi}]: err {err:.2e}")

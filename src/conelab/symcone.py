@@ -15,6 +15,7 @@ from scipy.optimize import fsolve, minimize
 
 MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-7
+JACOBI_MAX_SWEEPS = 100     # spectrum_of raises after this many sweeps
 
 OPEN, CLOSED, DUAL = "open", "closed", "dual"
 
@@ -458,7 +459,7 @@ def _check_symmetric(A):
     return A
 
 
-def spectrum_of(A, max_sweeps=100):
+def spectrum_of(A):
     """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi
     rotations (off-diagonal norm stop 1e-13 * ||A||).  Kept over eigvalsh,
     whose last bits differ and would change the reports that use it."""
@@ -467,7 +468,7 @@ def spectrum_of(A, max_sweeps=100):
     norm = np.linalg.norm(A)
     if norm == 0.0:
         return np.zeros(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = np.linalg.norm(A - np.diag(np.diag(A)))
         if off <= 1e-13 * norm:
             return np.sort(np.diag(A))[::-1]

@@ -248,6 +248,13 @@ def test_criterion_06_explicit_constant_bound(tmp_path):
     assert abs(bubble["rhs"] - 4.0) <= 0.2
 
 
+def test_battery_config_echo_round_trip():
+    # the echo in each report parses back to the same config
+    for job in battery_configs():
+        cfg = lab.parse_config({k: v for k, v in job.items() if k != "exp"})
+        assert lab.parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
 def test_criterion_07_green_identities():
     supported = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
                  (5, 3), (5, 4), (6, 4), (6, 6)]

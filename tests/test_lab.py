@@ -21,6 +21,26 @@ SINGULAR_JOB = {"exp": "max_principle", "name": "singular", "n": 2, "k": 2,
 # explicit-constant mode needs k > n/2: ValueError once the job runs
 LOW_K_JOB = {"exp": "max_principle", "name": "low_k", "n": 4, "k": 2,
              "q": 2.0, "mode": "exploratory"}
+# the ball-only experiments given a box: ValueError naming the domain
+BOX_JOBS = [{"exp": exp, "name": f"{exp}_box", "n": 3, "k": 2, "q": 2.0,
+             "h": [0.25], "domain": {"kind": "box", "lo": [-1.0] * 3,
+                                    "hi": [1.0] * 3}}
+            for exp in ("local_max", "oscillation", "w22")]
+NO_ALPHA_JOB = {"exp": "max_principle", "name": "no_alpha", "n": 3, "k": 2,
+                "q": 2.0, "operator": {"type": "gilbarg_serrin"}}
+
+
+@pytest.fixture(autouse=True)
+def echo_round_trip(monkeypatch):
+    """Every config a test here parses must come back unchanged from its
+    echo: parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()."""
+    parse = lab.parse_config
+
+    def checked(d):
+        cfg = parse(d)
+        assert parse(cfg.to_dict()).to_dict() == cfg.to_dict()
+        return cfg
+    monkeypatch.setattr(lab, "parse_config", checked)
 
 
 class TestConfigParsing:
@@ -78,6 +98,35 @@ class TestConfigParsing:
         spec = {"type": "constant", "matrix": np.eye(3).tolist(), **op}
         with pytest.raises(ValueError, match=field):
             lab.parse_config({"n": 3, "k": 2, "q": 2.0, "operator": spec})
+
+    @pytest.mark.parametrize("update, field", [
+        ({"operator": {"type": "gilbarg_serrin"}}, "operator.alpha"),
+        ({"operator": {"type": "constant"}}, "operator.matrix"),
+        ({"operator": {"type": "constant", "matrix": np.eye(2).tolist()}},
+         "operator.matrix"),
+        ({"operator": {"type": "gilbarg_serrin", "alpha": 0.1, "beta": 1}},
+         "operator.beta"),
+        ({"f": {"type": "constant"}}, "f.params.value"),
+        ({"f": {"type": "constant", "params": {"value": "x"}}},
+         "f.params.value"),
+        ({"f": {"type": "gaussian", "params": {"sigma": 1.0}}},
+         "f.params.sigma"),
+        ({"f": {"type": "zero", "amp": 1.0}}, "'f'"),
+        ({"domain": {"center": [0.0] * 3, "radius": 1.0}}, "domain"),
+        ({"domain": {"kind": "ball", "center": [0.0] * 3}}, "domain"),
+        ({"domain": ball_dict(2)}, "domain"),
+        ({"n": 3.7}, "'n'"),
+        ({"h": []}, "'h'"),
+        ({"sigma_ladder": []}, "sigma_ladder"),
+        ({"eps_ladder": [0.1, -0.05]}, "eps_ladder"),
+        ({"mystery": 1}, "mystery"),
+        ({"q_rule_violation": True}, "q_rule_violation"),
+        ({"mode": "exploratory", "q": 1.5, "q_rule_violation": False},
+         "q_rule_violation"),
+    ])
+    def test_misread_field_rejected(self, update, field):
+        with pytest.raises(ValueError, match=field):
+            lab.parse_config({"n": 3, "k": 2, "q": 2.0, **update})
 
     def test_drift_only_on_constant_operator(self):
         with pytest.raises(ValueError, match="operator.b"):
@@ -236,6 +285,8 @@ class TestRunSuite:
     @pytest.mark.parametrize("bad, code, error", [
         (SINGULAR_JOB, 3, "NumericError: solve residual too large"),
         (LOW_K_JOB, 2, "ValueError: explicit-constant mode requires k > n/2"),
+        *[(job, 2, "ValueError: field 'domain'") for job in BOX_JOBS],
+        (NO_ALPHA_JOB, 2, "ValueError: field 'operator.alpha'"),
     ])
     def test_raising_job_keeps_other_reports(self, tmp_path, bad, code,
                                              error):
@@ -257,6 +308,8 @@ class TestRunSuite:
     def test_malformed_battery(self):
         with pytest.raises(ValueError, match="experiments"):
             lab.run_suite({"jobs": []})
+        with pytest.raises(ValueError, match="workers"):
+            lab.run_suite({"experiments": [], "workers": 2})
         with pytest.raises(ValueError, match="exp"):
             lab.run_suite({"experiments": [{"name": "x"}]})
 

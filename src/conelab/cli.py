@@ -6,12 +6,18 @@ comma-separated literals; configs are JSON files.  Exit code 0 on success
 usage or configuration errors, 3 on a numerical failure (NumericError: a
 linear solve, optimizer or quadrature that did not converge).  A suite runs
 every job, lists the errors raised, and exits with the highest code.
+
+CONELAB_LOG=<level> (debug, info, warning or error) sends the records of
+the conelab loggers at that level and above to stderr for the duration of
+the command; unset, logging is left as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -143,13 +149,40 @@ def build_parser():
     return p
 
 
+@contextlib.contextmanager
+def _stderr_logging():
+    """A stderr handler on the conelab loggers at the level CONELAB_LOG
+    names, removed again on exit; nothing when CONELAB_LOG is unset."""
+    name = os.environ.get("CONELAB_LOG")
+    if not name:
+        yield
+        return
+    level = logging.getLevelName(name.upper())    # an int for a level name
+    if not isinstance(level, int):
+        usage_error(f"CONELAB_LOG: unknown level {name!r}; "
+                    "choose debug, info, warning or error")
+    logger = logging.getLogger("conelab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except tuple(lab.ERROR_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return lab.error_exit_code(exc)
+    with _stderr_logging():
+        try:
+            return args.fn(args)
+        except tuple(lab.ERROR_EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return lab.error_exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ normalized as log(|x-y|/R) so it vanishes on the boundary sphere.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from math import comb
 
@@ -16,6 +17,8 @@ from . import symcone
 from .fd import ScalarField, hessian_field, lq_norm, sup_inf_osc
 from .radial import RadialProfile, unit_ball_volume
 from .symcone import MEMBERSHIP_TOL, elem_sym_table
+
+log = logging.getLogger(__name__)
 
 
 def fk_pointwise(H, k):
@@ -199,28 +202,42 @@ def precise_bound_check(uy, spec, psi_integral):
 def rho_star_field(coeff, k, mask):
     """Per-node rho*_k of the coefficient spectrum over mask.
 
-    Raises identifying the first offending node if rho*_k <= 0 anywhere.
+    Closed forms for k = 2 and k = n; otherwise symcone.rho_star once per
+    distinct spectrum, exactly as a per-node loop would give.  Logs one
+    DEBUG record (path, nodes, distinct spectra, optimizer calls).  Raises
+    identifying the first offending node if rho*_k <= 0 anywhere.
     """
     grid = coeff.grid
     n = grid.dim
     lam = coeff.spectra(mask)
+    distinct, calls = "-", 0
     if k == 2:
+        path = "closed_k2"
         s1 = lam.sum(axis=1)
         disc = s1 ** 2 - (n - 1) * np.sum(lam ** 2, axis=1)
         bad = (s1 < 0) | (disc < 0)
         vals = np.sqrt(np.maximum(disc, 0.0) / n)
     elif k == n:
+        path = "closed_kn"
         bad = lam.min(axis=1) < -MEMBERSHIP_TOL
         vals = np.prod(np.maximum(lam, 0.0), axis=1) ** (1.0 / n)
     else:
-        vals = np.empty(len(lam))
-        bad = np.zeros(len(lam), dtype=bool)
-        for i, row in enumerate(lam):
+        # rho*_k depends on the node only through its spectrum: one
+        # optimizer call per bit-distinct row gives the per-node values
+        path = "optimized"
+        uniq, inverse = np.unique(lam, axis=0, return_inverse=True)
+        distinct = calls = len(uniq)
+        uvals = np.zeros(calls)
+        ubad = np.zeros(calls, dtype=bool)
+        for i, row in enumerate(uniq):
             try:
-                vals[i] = symcone.rho_star(row, k)
+                uvals[i] = symcone.rho_star(row, k)
             except ValueError:
-                bad[i] = True
-                vals[i] = 0.0
+                ubad[i] = True
+        inverse = inverse.reshape(-1)    # 2-d on some numpy 2.x releases
+        vals, bad = uvals[inverse], ubad[inverse]
+    log.debug("rho_star_field: k=%d path=%s nodes=%d distinct=%s calls=%d",
+              k, path, len(lam), distinct, calls)
     if np.any(bad | (vals <= 0.0)):
         i = int(np.argmax(bad | (vals <= 0.0)))
         node = np.argwhere(mask)[i]

@@ -168,6 +168,14 @@ def _ladder(value):
     return xs
 
 
+def _unit_ladder(value):
+    """A ladder inside (0, 1): eps is the core radius of a mollified
+    profile on the unit ball, and log_family divides by log eps."""
+    xs = _ladder(value)
+    _require(max(xs) < 1, f"need values in (0, 1), got {value!r}")
+    return xs
+
+
 def _object(value):
     _require(isinstance(value, dict), f"need a JSON object, got {value!r}")
     return dict(value)
@@ -186,7 +194,7 @@ CONFIG_KEYS = {
     "operator": ("operator", _object, dict),
     "f": ("f", _object, dict),
     "seed": ("seed", int, int),
-    "eps_ladder": ("eps_ladder", _ladder, list),
+    "eps_ladder": ("eps_ladder", _unit_ladder, list),
     "q_list": ("q_list", _numbers, list),
     "sigma_ladder": ("sigma_ladder", _ladder, list),
     "sigma": ("sigma", float, float),

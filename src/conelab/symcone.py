@@ -93,10 +93,11 @@ def _elem_sym_grad(mu, k, e=None):
     return d
 
 
-def _elem_sym_jac(mu, k):
+def _elem_sym_jac(mu, k, e=None):
     """Stacked gradients of S_1..S_k, shape (k, n)."""
     mu = np.asarray(mu, dtype=float)
-    e = elem_sym_table(mu)
+    if e is None:
+        e = elem_sym_table(mu)
     rows = np.empty((k, mu.size))
     d = np.ones_like(mu)
     rows[0] = d
@@ -135,12 +136,32 @@ def in_cone(lam, k, closed=False):
     return ConeVerdict(member, margin, k, CLOSED if closed else OPEN)
 
 
-def _cone_constraints(n, k):
-    """Single vector-valued SLSQP constraint S_j(mu) >= 0, j = 1..k."""
+def _iterate_table():
+    """mu -> elem_sym_table(mu), computed once per distinct mu in a row.
+
+    SLSQP evaluates every constraint and its Jacobian at one iterate; they
+    share this table.  The key is a copy of mu's bytes because SLSQP may
+    overwrite the array it passes.  The table is shared: read it only.
+    """
+    key, table = None, None
+
+    def table_of(mu):
+        nonlocal key, table
+        mu = np.asarray(mu, dtype=float)
+        data = mu.tobytes()
+        if data != key:
+            key, table = data, elem_sym_table(mu)
+        return table
+    return table_of
+
+
+def _cone_constraints(k, table):
+    """Single vector-valued SLSQP constraint S_j(mu) >= 0, j = 1..k;
+    table is an _iterate_table()."""
     return [{
         "type": "ineq",
-        "fun": lambda mu: elem_sym_table(mu)[1:k + 1],
-        "jac": lambda mu: _elem_sym_jac(mu, k),
+        "fun": lambda mu: table(mu)[1:k + 1],
+        "jac": lambda mu: _elem_sym_jac(mu, k, table(mu)),
     }]
 
 
@@ -157,10 +178,11 @@ def _dual_margin_optimize(lam, k):
         return 0.0
     lam_s = lam / scale
 
-    cons = _cone_constraints(n, k)
+    table = _iterate_table()
+    cons = _cone_constraints(k, table)
     slice_cons = cons + [{
         "type": "eq",
-        "fun": lambda mu: elem_sym_table(mu)[1] - np.sqrt(n),
+        "fun": lambda mu: table(mu)[1] - np.sqrt(n),
         "jac": lambda mu: np.ones(n),
     }]
     x0 = np.full(n, 1.0 / np.sqrt(n))
@@ -260,9 +282,10 @@ def _rho_star_newton(lam, k):
 
     def eqs(z):
         mu, c = z[:n], z[n]
+        e = elem_sym_table(mu)
         out = np.empty(n + 1)
-        out[:n] = lam - c * _elem_sym_grad(mu, k)
-        out[n] = elem_sym_table(mu)[k] - target
+        out[:n] = lam - c * _elem_sym_grad(mu, k, e)
+        out[n] = e[k] - target
         return out
 
     z0 = np.concatenate([np.ones(n), [lam.sum() / (n * k)]])
@@ -334,10 +357,11 @@ def rho_star_program(lam, k):
     tol = MEMBERSHIP_TOL * scale
     lam_s = lam / scale
     target = float(comb(n, k))
-    cons = _cone_constraints(n, k - 1) + [{
+    table = _iterate_table()
+    cons = _cone_constraints(k - 1, table) + [{
         "type": "ineq",
-        "fun": lambda mu: elem_sym_table(mu)[k] - target,
-        "jac": lambda mu: _elem_sym_grad(mu, k),
+        "fun": lambda mu: table(mu)[k] - target,
+        "jac": lambda mu: _elem_sym_grad(mu, k, table(mu)),
     }]
     box = 1e3
     best = None

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -185,3 +186,47 @@ class TestSuiteCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["suite", "--config", str(p), "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+class TestLogEnvironment:
+    # n=4, k=3 takes the optimized rho*_k path; the identity operator has
+    # one spectrum, so the lattice needs one optimizer call
+    CFG = {"n": 4, "k": 3, "q": 3.0, "h": 0.25,
+           "domain": {"kind": "ball", "center": [0.0] * 4, "radius": 1.0},
+           "f": {"type": "constant", "params": {"value": 1.0}}}
+
+    def _exp(self, capsys, tmp_path, name):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(self.CFG))
+        out = tmp_path / name
+        code = cli.main(["exp", "max_principle", "--config", str(p),
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return code, captured, files
+
+    def test_debug_records_only_when_set(self, capsys, tmp_path,
+                                         monkeypatch):
+        logger = logging.getLogger("conelab")
+        handlers, level = list(logger.handlers), logger.level
+        monkeypatch.delenv("CONELAB_LOG", raising=False)
+        code, quiet, files = self._exp(capsys, tmp_path, "unset")
+        assert code == 0
+        assert "conelab." not in quiet.err
+        monkeypatch.setenv("CONELAB_LOG", "debug")
+        code, loud, logged_files = self._exp(capsys, tmp_path, "debug")
+        assert code == 0
+        assert "DEBUG conelab.fd: solve: path=bicgstab" in loud.err
+        assert ("DEBUG conelab.green: rho_star_field: k=3 path=optimized "
+                "nodes=") in loud.err
+        assert "distinct=1 calls=1" in loud.err
+        assert loud.out == quiet.out
+        assert logged_files == files and "report.json" in files
+        assert logger.handlers == handlers and logger.level == level
+
+    def test_unknown_level_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONELAB_LOG", "verbose")
+        with pytest.raises(SystemExit) as exc:
+            self._exp(capsys, tmp_path, "bad")
+        assert exc.value.code == 2
+        assert "CONELAB_LOG" in capsys.readouterr().err

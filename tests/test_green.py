@@ -1,9 +1,10 @@
+import re
 from math import comb
 
 import numpy as np
 import pytest
 
-from conelab import fd, green
+from conelab import fd, green, symcone
 from conelab.green import (BoundReport, GreenBallSpec, abp_constant,
                            best_constant_ball, bound_report_for, contact_mask,
                            fk_pointwise, green_ball, green_ball_profile,
@@ -274,6 +275,54 @@ class TestRhoStarField:
         coeff = fd.constant_coeff(A)(g)
         vals = rho_star_field(coeff, 3, g.interior)
         assert np.allclose(vals, 2.0, rtol=1e-12)
+
+
+class TestRhoStarFieldOptimized:
+    """2 < k < n: one symcone.rho_star call per distinct spectrum."""
+
+    @pytest.fixture(scope="class")
+    def gs_lattice(self):
+        g = ball_grid(4, 0.25)
+        return fd.coeff_gilbarg_serrin(4, -0.3)(g), g.interior
+
+    def test_matches_per_node_loop(self, gs_lattice):
+        coeff, mask = gs_lattice
+        ref = np.array([symcone.rho_star(row, 3)
+                        for row in coeff.spectra(mask)])
+        assert np.array_equal(rho_star_field(coeff, 3, mask), ref)
+
+    def test_one_call_per_distinct_spectrum(self, gs_lattice, monkeypatch):
+        coeff, mask = gs_lattice
+        seen, real = [], symcone.rho_star
+
+        def counted(lam, k):
+            seen.append(tuple(lam))
+            return real(lam, k)
+
+        monkeypatch.setattr(symcone, "rho_star", counted)
+        rho_star_field(coeff, 3, mask)
+        assert np.count_nonzero(mask) == 704
+        assert len(seen) == len(set(seen)) == 35
+
+    def test_first_offending_node_named(self):
+        # mostly identity; two spectra outside G*_3 whose sorted order is
+        # the reverse of their node order
+        g = ball_grid(4, 0.25)
+        A = np.broadcast_to(np.eye(4), g.shape + (4, 4)).copy()
+        nodes = np.argwhere(g.interior)
+        A[tuple(nodes[100])] = np.diag([1.0, 1.0, 1.0, -1.0])
+        A[tuple(nodes[300])] = np.diag([-2.0, 1.0, 1.0, 1.0])
+        coeff = fd.CoeffField(g, A)
+        for i, row in enumerate(coeff.spectra(g.interior)):
+            try:
+                if symcone.rho_star(row, 3) <= 0.0:
+                    break
+            except ValueError:
+                break
+        assert i == 100
+        with pytest.raises(ValueError,
+                           match=re.escape(f"node {tuple(nodes[i])}")):
+            rho_star_field(coeff, 3, g.interior)
 
 
 class TestTheoremRhs:

@@ -28,6 +28,8 @@ BOX_JOBS = [{"exp": exp, "name": f"{exp}_box", "n": 3, "k": 2, "q": 2.0,
             for exp in ("local_max", "oscillation", "w22")]
 NO_ALPHA_JOB = {"exp": "max_principle", "name": "no_alpha", "n": 3, "k": 2,
                 "q": 2.0, "operator": {"type": "gilbarg_serrin"}}
+# eps = 1 makes log_family divide by log 1 = 0
+EPS_ONE_JOB = {**LOG_JOB, "name": "eps_one", "eps_ladder": [1.0, 0.5, 0.25]}
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +125,8 @@ class TestConfigParsing:
         ({"q_rule_violation": True}, "q_rule_violation"),
         ({"mode": "exploratory", "q": 1.5, "q_rule_violation": False},
          "q_rule_violation"),
+        ({"eps_ladder": [1.0, 0.5, 0.25]}, "eps_ladder"),
+        ({"eps_ladder": [2.0, 0.5, 0.25]}, "eps_ladder"),
     ])
     def test_misread_field_rejected(self, update, field):
         with pytest.raises(ValueError, match=field):
@@ -287,6 +291,7 @@ class TestRunSuite:
         (LOW_K_JOB, 2, "ValueError: explicit-constant mode requires k > n/2"),
         *[(job, 2, "ValueError: field 'domain'") for job in BOX_JOBS],
         (NO_ALPHA_JOB, 2, "ValueError: field 'operator.alpha'"),
+        (EPS_ONE_JOB, 2, "ValueError: field 'eps_ladder'"),
     ])
     def test_raising_job_keeps_other_reports(self, tmp_path, bad, code,
                                              error):

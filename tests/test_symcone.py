@@ -52,6 +52,14 @@ class TestElemSym:
         with pytest.raises(ValueError):
             sc.elem_sym([1, 2, 3], 0)
 
+    def test_iterate_table_follows_overwritten_array(self):
+        # SLSQP may overwrite the iterate in place; the cache keys on values
+        table = sc._iterate_table()
+        mu = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(table(mu), sc.elem_sym_table(mu))
+        mu[0] = 5.0
+        assert np.array_equal(table(mu), sc.elem_sym_table(mu))
+
 
 class TestRhoK:
     def test_all_ones(self):

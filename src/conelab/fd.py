@@ -16,14 +16,16 @@ run (zero diagonal), does not converge, or leaves a relative residual above
 RESIDUAL_TOL, the same system is solved once more by sparse LU (spsolve);
 only a failed direct solve raises NumericError.  Each solve is logged on the
 "conelab.fd" logger: one DEBUG record with the path taken, the unknowns, nnz,
-the iteration count, the final relative residual and the number of interior
-nodes with a wrong-sign off-diagonal weight, and a WARNING for every
-fallback to the direct solver with its reason.
+the iteration count, the final relative residual, the seconds spent
+assembling and solving, and the number of interior nodes with a wrong-sign
+off-diagonal weight; and a WARNING for every fallback to the direct solver
+with its reason.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -411,6 +413,7 @@ def solve_dirichlet(coeff, f, g):
     weight has the sign that breaks the discrete maximum principle, with
     the number of interior nodes that have one (also in the DEBUG record).
     """
+    t0 = time.perf_counter()
     grid = f.grid
     interior = grid.interior
     nuk = int(np.count_nonzero(interior))
@@ -445,7 +448,8 @@ def solve_dirichlet(coeff, f, g):
         shape=(nuk, nuk))
     sol, path, iterations, res = _solve_linear(A, rhs)
     log.debug("solve: path=%s unknowns=%d nnz=%d iterations=%d rel_res=%.2e "
-              "wrong_sign=%d", path, nuk, A.nnz, iterations, res, n_wrong)
+              "elapsed=%.4f wrong_sign=%d", path, nuk, A.nnz, iterations, res,
+              time.perf_counter() - t0, n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)
     out[interior] = sol
     return ScalarField(grid, out)

@@ -1,5 +1,5 @@
-"""k-Hessian operators, contact-set surrogates, ball Green's functions,
-and the explicit constants of the sharp sup-bound.
+"""Contact-set surrogates, ball Green's functions, the rho*_k field and
+the explicit constants of the sharp sup-bound.
 
 Supported Green's functions: balls only, k >= n/2.  The k = n/2 branch is
 normalized as log(|x-y|/R) so it vanishes on the boundary sphere.
@@ -8,6 +8,7 @@ normalized as log(|x-y|/R) so it vanishes on the boundary sphere.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from math import comb
 
@@ -21,55 +22,35 @@ from .symcone import MEMBERSHIP_TOL, elem_sym_table
 log = logging.getLogger(__name__)
 
 
-def fk_pointwise(H, k):
-    """k-Hessian value S_k(spectrum(H)) = sum of k x k principal minors."""
-    return symcone.sk_minors(H, k)
-
-
-def psi_from_f(f, rho_star_A, n, k):
-    """Hessian-inequality right-hand side C(n,k) (f/(n rho*_k))^k."""
-    if rho_star_A <= 0:
-        raise ValueError("need rho*_k(A) > 0")
-    if f < 0:
-        raise ValueError("need f >= 0")
-    return comb(n, k) * (f / (n * rho_star_A)) ** k
-
-
 @dataclass
 class ContactMask:
     grid: object
     mask: np.ndarray
-    kind: str            # "upper" or "lower"
     k: int
 
-    def size(self):
-        return int(np.count_nonzero(self.mask))
 
+def contact_mask(u, k):
+    """Pointwise spectral surrogate for the upper k-contact set: nodes where
+    spectrum(-D^2 u) lies in the closed cone.
 
-def contact_mask(u, k, kind="upper"):
-    """Pointwise spectral surrogate for the k-contact set.
-
-    Lower set: nodes where spectrum(D^2 u) lies in the closed cone; upper
-    set uses -D^2 u.  The surrogate contains the true contact set, so norms
-    over it upper-bound norms over the exact set and every estimate checked
-    against it remains a genuine inequality.  Closed-cone boundary nodes
-    (slack within tolerance of zero) are included, as are interior nodes
-    where the discrete Hessian is unavailable (outermost layer): excluding
+    The surrogate contains the true contact set (tests/test_acceptance.py
+    checks this against the exact k = n set), so norms over it upper-bound
+    norms over the exact set and every estimate checked against it remains
+    a genuine inequality.  Closed-cone boundary nodes (slack within
+    tolerance of zero) are included, as are interior nodes where the
+    discrete Hessian is unavailable (outermost layer): excluding
     undecidable nodes could drop true contact points.
     """
-    if kind not in ("upper", "lower"):
-        raise ValueError("kind must be 'upper' or 'lower'")
     grid = u.grid
     n = grid.dim
     H, valid = hessian_field(u)
-    sign = -1.0 if kind == "upper" else 1.0
-    lam = np.linalg.eigvalsh(sign * H[valid])
+    lam = np.linalg.eigvalsh(-H[valid])
     e = elem_sym_table(lam)
     slacks = e[:, 1:k + 1] / np.array([comb(n, j) for j in range(1, k + 1)])
     member = np.all(slacks >= -MEMBERSHIP_TOL, axis=1)
     mask = grid.interior & ~valid
     mask[valid] = member
-    return ContactMask(grid, mask, kind, k)
+    return ContactMask(grid, mask, k)
 
 
 @dataclass(frozen=True)
@@ -77,7 +58,6 @@ class GreenBallSpec:
     n: int
     k: int
     R: float
-    y: tuple = ()
 
     def __post_init__(self):
         if self.k < 1 or self.k > self.n:
@@ -91,9 +71,6 @@ class GreenBallSpec:
     def log_branch(self):
         return 2 * self.k == self.n
 
-    def center(self):
-        return np.asarray(self.y if len(self.y) else np.zeros(self.n))
-
 
 def green_ball_radial(spec, s):
     """Green's function value at distance s from the pole."""
@@ -106,13 +83,6 @@ def green_ball_radial(spec, s):
         return np.log(s / R) / cnk_wn ** (1.0 / k)
     p = 2.0 - n / k
     return (s ** p - R ** p) / (p * cnk_wn ** (1.0 / k))
-
-
-def green_ball(spec, x):
-    """G_y(x) for the ball B_R(y); vanishes on the boundary sphere."""
-    x = np.asarray(x, dtype=float)
-    s = np.linalg.norm(x - spec.center(), axis=-1)
-    return green_ball_radial(spec, s)
 
 
 def green_ball_profile(spec):
@@ -138,15 +108,6 @@ def green_depth(n, k, R):
     p = 2.0 - n / k
     cnk_wn = comb(n, k) * unit_ball_volume(n)
     return R ** p / (p * cnk_wn ** (1.0 / k))
-
-
-def green_inf_bound(n, k, diam):
-    """Lower bound on inf G_y over any domain of the given diameter."""
-    if 2 * k <= n:
-        raise ValueError("requires k > n/2")
-    p = 2.0 - n / k
-    cnk_wn = comb(n, k) * unit_ball_volume(n)
-    return -diam ** p / (p * cnk_wn ** (1.0 / k))
 
 
 def abp_constant(n, k, diam):
@@ -184,29 +145,16 @@ class BoundReport:
                 "margin": self.margin}
 
 
-def precise_bound_check(uy, spec, psi_integral):
-    """Check -u(y) <= -G_y(y) (int psi)^{1/k} and the cruder diameter-based
-    variant; returns (precise, crude) reports."""
-    if psi_integral < 0:
-        raise ValueError("need a nonnegative psi integral")
-    n, k, R = spec.n, spec.k, spec.R
-    lhs = -uy
-    depth = green_depth(n, k, R)
-    amount = psi_integral ** (1.0 / k)
-    precise = BoundReport(lhs, depth * amount, depth, amount, 0)
-    crude_c = -green_inf_bound(n, k, 2 * R)
-    crude = BoundReport(lhs, crude_c * amount, crude_c, amount, 0)
-    return precise, crude
-
-
 def rho_star_field(coeff, k, mask):
     """Per-node rho*_k of the coefficient spectrum over mask.
 
     Closed forms for k = 2 and k = n; otherwise symcone.rho_star once per
     distinct spectrum, exactly as a per-node loop would give.  Logs one
-    DEBUG record (path, nodes, distinct spectra, optimizer calls).  Raises
-    identifying the first offending node if rho*_k <= 0 anywhere.
+    DEBUG record (path, nodes, distinct spectra, optimizer calls, elapsed
+    seconds).  Raises identifying the first offending node if rho*_k <= 0
+    anywhere.
     """
+    t0 = time.perf_counter()
     grid = coeff.grid
     n = grid.dim
     lam = coeff.spectra(mask)
@@ -236,8 +184,9 @@ def rho_star_field(coeff, k, mask):
                 ubad[i] = True
         inverse = inverse.reshape(-1)    # 2-d on some numpy 2.x releases
         vals, bad = uvals[inverse], ubad[inverse]
-    log.debug("rho_star_field: k=%d path=%s nodes=%d distinct=%s calls=%d",
-              k, path, len(lam), distinct, calls)
+    log.debug("rho_star_field: k=%d path=%s nodes=%d distinct=%s calls=%d "
+              "elapsed=%.4f", k, path, len(lam), distinct, calls,
+              time.perf_counter() - t0)
     if np.any(bad | (vals <= 0.0)):
         i = int(np.argmax(bad | (vals <= 0.0)))
         node = np.argwhere(mask)[i]
@@ -263,7 +212,7 @@ def theorem_rhs(f, coeff, k, q, mask, constant):
 def bound_report_for(u, f, coeff, k, q, constant, mask=None):
     """Full pipeline: sup u vs constant * contact-surrogate norm."""
     if mask is None:
-        mask = contact_mask(u, k, "upper")
+        mask = contact_mask(u, k)
     rep = theorem_rhs(f, coeff, k, q, mask, constant)
     sup, _, _ = sup_inf_osc(u)
     rep.lhs = float(sup)

@@ -576,7 +576,7 @@ def exp_w22(cfg, rep):
 
 
 # name -> (experiment, the domain kinds it runs on: the unit ball by
-# default; none for the radial experiments)
+# default; none for the radial experiments, which reject a domain)
 EXPERIMENTS = {
     "max_principle": (exp_max_principle, ("ball", "box")),
     "sharpness": (exp_sharpness, ()),
@@ -623,9 +623,11 @@ def run_one(name, cfg_dict):
     t0 = time.perf_counter()
     if kinds and cfg.domain is None:
         cfg = replace(cfg, domain=fd.Domain.ball(np.zeros(cfg.n), 1.0))
-    if kinds and cfg.domain.kind not in kinds:
-        raise ValueError(f"field 'domain': {name} runs on a "
-                         f"{' or '.join(kinds)}, got a {cfg.domain.kind}")
+    if cfg.domain is not None and cfg.domain.kind not in kinds:
+        takes = (f"runs on a {' or '.join(kinds)}" if kinds
+                 else "takes no domain")
+        raise ValueError(f"field 'domain': {name} {takes}, "
+                         f"got a {cfg.domain.kind}")
     rep = ExperimentReport(cfg.name, cfg.to_dict())
     experiment(cfg, rep)
     rep.wall_time = time.perf_counter() - t0

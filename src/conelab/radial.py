@@ -12,7 +12,6 @@ from math import comb, gamma, pi
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 
 from .symcone import NumericError
 
@@ -25,27 +24,13 @@ def unit_ball_volume(n):
 
 
 class RadialProfile:
-    """u(r) with first and second derivative accessors.
-
-    Built either from callables (closed form, evaluated exactly) or from
-    samples on an increasing positive r-range (cubic spline).
-    Optional breakpoints mark derivative discontinuities for quadrature.
+    """u(r) with first and second derivative accessors, each a callable
+    evaluated exactly.  Optional breakpoints mark derivative
+    discontinuities for quadrature.
     """
 
-    def __init__(self, u, du=None, d2u=None, r_samples=None,
-                 breakpoints=()):
-        if callable(u):
-            if du is None or d2u is None:
-                raise ValueError("closed-form profile needs u, du, d2u")
-            self.u, self.du, self.d2u = u, du, d2u
-        else:
-            r = np.asarray(r_samples, dtype=float)
-            if r.ndim != 1 or np.any(np.diff(r) <= 0) or r[0] <= 0:
-                raise ValueError("r-samples must be increasing and positive")
-            spline = CubicSpline(r, np.asarray(u, dtype=float))
-            self.u = spline
-            self.du = spline.derivative(1)
-            self.d2u = spline.derivative(2)
+    def __init__(self, u, du, d2u, breakpoints=()):
+        self.u, self.du, self.d2u = u, du, d2u
         self.breakpoints = tuple(float(b) for b in breakpoints)
 
     def map(self, fn):

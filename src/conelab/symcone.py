@@ -79,20 +79,6 @@ def elem_sym(lam, k):
     return float(elem_sym_table(lam)[k])
 
 
-def _elem_sym_grad(mu, k, e=None):
-    """Gradient of S_k: dS_k/dmu_i = S_{k-1} of mu with entry i deleted.
-
-    Deflation of the full table: e_j = d_j + mu_i d_{j-1}, vectorized in i.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if e is None:
-        e = elem_sym_table(mu)
-    d = np.ones_like(mu)
-    for j in range(1, k):
-        d = e[j] - mu * d
-    return d
-
-
 def _elem_sym_jac(mu, k, e=None):
     """Stacked gradients of S_1..S_k, shape (k, n)."""
     mu = np.asarray(mu, dtype=float)
@@ -284,7 +270,7 @@ def _rho_star_newton(lam, k):
         mu, c = z[:n], z[n]
         e = elem_sym_table(mu)
         out = np.empty(n + 1)
-        out[:n] = lam - c * _elem_sym_grad(mu, k, e)
+        out[:n] = lam - c * _elem_sym_jac(mu, k, e)[-1]
         out[n] = e[k] - target
         return out
 
@@ -303,40 +289,6 @@ def _rho_star_newton(lam, k):
 def _reject_dual(k, margin):
     raise ValueError(f"spectrum not in dual cone G*_{k} "
                      f"(margin {margin:.3e})")
-
-
-def rho_star_detail(lam, k):
-    """Dual gauge rho*_k(lam) plus a flag marking the cone boundary.
-
-    Dispatches to closed forms for k in {1, 2, n}; otherwise minimizes the
-    linear objective over the convex slice {S_k >= C(n,k)} of the cone.
-    """
-    lam = _check_spectrum(lam)
-    n = lam.size
-    k = _check_k(k, n)
-    scale = float(np.linalg.norm(lam))
-    if scale == 0.0:
-        return 0.0, True
-
-    tol = MEMBERSHIP_TOL * scale
-    if k in (1, 2, n):
-        margin = dual_margin(lam, k)
-        if margin < -tol:
-            _reject_dual(k, margin)
-        if k == 1:
-            val = float(lam.mean())
-        elif k == n:
-            val = float(np.prod(np.maximum(lam, 0.0)) ** (1.0 / n))
-        else:
-            val = rho_star_closed_form_2(lam)
-        if margin < BOUNDARY_TOL * scale:
-            return 0.0, True
-        return val, False
-
-    val = rho_star_program(lam, k)
-    if val < BOUNDARY_TOL * scale:
-        return 0.0, True
-    return val, False
 
 
 def rho_star_program(lam, k):
@@ -361,7 +313,7 @@ def rho_star_program(lam, k):
     cons = _cone_constraints(k - 1, table) + [{
         "type": "ineq",
         "fun": lambda mu: table(mu)[k] - target,
-        "jac": lambda mu: _elem_sym_grad(mu, k, table(mu)),
+        "jac": lambda mu: _elem_sym_jac(mu, k, table(mu))[-1],
     }]
     box = 1e3
     best = None
@@ -389,9 +341,33 @@ def rho_star_program(lam, k):
 
 
 def rho_star(lam, k):
-    """Dual gauge rho*_k(lam); 0 on the boundary of G*_k."""
-    val, _ = rho_star_detail(lam, k)
-    return val
+    """Dual gauge rho*_k(lam); 0 on the boundary of G*_k.
+
+    Dispatches to closed forms for k in {1, 2, n}; otherwise minimizes the
+    linear objective over the convex slice {S_k >= C(n,k)} of the cone.
+    """
+    lam = _check_spectrum(lam)
+    n = lam.size
+    k = _check_k(k, n)
+    scale = float(np.linalg.norm(lam))
+    if scale == 0.0:
+        return 0.0
+
+    tol = MEMBERSHIP_TOL * scale
+    if k in (1, 2, n):
+        margin = dual_margin(lam, k)
+        if margin < -tol:
+            _reject_dual(k, margin)
+        if k == 1:
+            val = float(lam.mean())
+        elif k == n:
+            val = float(np.prod(np.maximum(lam, 0.0)) ** (1.0 / n))
+        else:
+            val = rho_star_closed_form_2(lam)
+        return 0.0 if margin < BOUNDARY_TOL * scale else val
+
+    val = rho_star_program(lam, k)
+    return 0.0 if val < BOUNDARY_TOL * scale else val
 
 
 def rho_star_oracle(lam, k, samples, seed=0):
@@ -516,20 +492,6 @@ def spectrum_of(A):
                        best=np.sort(np.diag(A))[::-1])
 
 
-def sk_minors(A, k):
-    """[A]_k: sum of the k x k principal minors, by direct expansion."""
-    from itertools import combinations
-
-    A = _check_symmetric(A)
-    n = A.shape[0]
-    k = _check_k(k, n)
-    total = 0.0
-    for idx in combinations(range(n), k):
-        sub = A[np.ix_(idx, idx)]
-        total += float(np.linalg.det(sub))
-    return total
-
-
 def gamma2_star_matrix_test(A):
     """Matrix-norm characterization of G*_2:
     member iff tr A > 0 and ||(n-1)/tr(A) * A - I||_HS <= 1.
@@ -545,26 +507,3 @@ def gamma2_star_matrix_test(A):
     dev = float(np.linalg.norm((n - 1) / tr * A - np.eye(n)))
     margin = 1.0 - dev
     return ConeVerdict(margin > -MEMBERSHIP_TOL, margin, 2, DUAL)
-
-
-def lambda_chain_check(A, k, a0, rho0):
-    """Uniform-ellipticity chain gate:
-    lam_min >= lam_max^{1-n} rho_n^n and lam_min >= a0^{1-n} rho0^n."""
-    A = _check_symmetric(A)
-    n = A.shape[0]
-    k = _check_k(k, n)
-    if rho0 <= 0.0:
-        raise ValueError("need rho0 > 0")
-    lam = spectrum_of(A)
-    if np.linalg.norm(A) > a0 + 1e-12:
-        raise ValueError(f"|A| = {np.linalg.norm(A):.6g} exceeds a0 = {a0}")
-    rs = rho_star(lam, k)
-    if rs < rho0 - 1e-12:
-        raise ValueError(f"rho*_{k}(A) = {rs:.6g} below rho0 = {rho0}")
-    lam_max, lam_min = lam[0], lam[-1]
-    if lam_min <= 0.0:
-        return False
-    rho_n = float(np.prod(lam)) ** (1.0 / n)
-    tol = 1e-12 * max(1.0, lam_max)
-    return (lam_min >= lam_max ** (1 - n) * rho_n ** n - tol
-            and lam_min >= a0 ** (1 - n) * rho0 ** n - tol)

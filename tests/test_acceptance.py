@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from conelab import fd, green, lab, radial, symcone
 
@@ -253,6 +254,47 @@ def test_battery_config_echo_round_trip():
     for job in battery_configs():
         cfg = lab.parse_config({k: v for k, v in job.items() if k != "exp"})
         assert lab.parse_config(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def exact_upper_contact_kn(u):
+    """Interior nodes where u meets its concave envelope over the active
+    nodes: the exact discrete upper contact set for k = n.  The envelope is
+    the upper hull of the points (lattice index, u); its facets are
+    evaluated in blocks of at most 32 MB."""
+    grid = u.grid
+    pts = np.column_stack([np.argwhere(grid.active), u.values[grid.active]])
+    eq = ConvexHull(pts).equations
+    upper = eq[eq[:, -2] > 0]      # outward normal points up in u
+    nodes = np.column_stack([np.argwhere(grid.interior),
+                             u.values[grid.interior]])
+    gap = np.empty(len(nodes))     # lowest facet plane above u, minus u
+    step = max(1, (32 << 20) // (8 * len(upper)))
+    for i in range(0, len(nodes), step):
+        block = nodes[i:i + step] @ upper[:, :-1].T
+        block += upper[:, -1]
+        block /= upper[:, -2]
+        gap[i:i + step] = -block.max(axis=1)
+    out = np.zeros(grid.shape, dtype=bool)
+    out[grid.interior] = gap <= 1e-9 * max(1.0, np.abs(pts[:, -1]).max())
+    return out
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 12], ids=["h8", "h12"])
+def test_contact_surrogate_contains_exact_kn_set(h):
+    # every estimate takes its norm over green.contact_mask, so it must
+    # contain the true contact set; if this fails, widen the surrogate,
+    # not this test
+    jobs = [job for job in battery_configs() if job["k"] == job["n"]]
+    assert len(jobs) == 5
+    for job in jobs:
+        cfg = lab.parse_config({k: v for k, v in job.items() if k != "exp"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            _, _, _, u = lab._solve(cfg, h)
+        exact = exact_upper_contact_kn(u)
+        assert np.any(exact), job["name"]
+        missed = exact & ~green.contact_mask(u, cfg.n).mask
+        assert not np.any(missed), (job["name"], np.argwhere(missed))
 
 
 def test_criterion_07_green_identities():

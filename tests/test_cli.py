@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -217,9 +218,12 @@ class TestLogEnvironment:
         code, loud, logged_files = self._exp(capsys, tmp_path, "debug")
         assert code == 0
         assert "DEBUG conelab.fd: solve: path=bicgstab" in loud.err
+        assert re.search(r"rel_res=\S+ elapsed=\d+\.\d{4} wrong_sign=\d+\n",
+                         loud.err)
         assert ("DEBUG conelab.green: rho_star_field: k=3 path=optimized "
                 "nodes=") in loud.err
-        assert "distinct=1 calls=1" in loud.err
+        assert re.search(r"distinct=1 calls=1 elapsed=\d+\.\d{4}\n",
+                         loud.err)
         assert loud.out == quiet.out
         assert logged_files == files and "report.json" in files
         assert logger.handlers == handlers and logger.level == level

@@ -293,10 +293,12 @@ class TestSolverPolicy:
         msg = recs[0].getMessage()
         nuk = int(np.count_nonzero(g.interior))
         assert f"unknowns={nuk} " in msg
-        for key in ("nnz=", "iterations=", "rel_res=", "wrong_sign="):
+        for key in ("nnz=", "iterations=", "rel_res=", "elapsed=",
+                    "wrong_sign="):
             assert key in msg
         iters = int(msg.split("iterations=")[1].split()[0])
         assert 0 < iters < 100
+        assert float(msg.split("elapsed=")[1].split()[0]) >= 0.0
 
     @pytest.mark.parametrize("bicgstab, reason", [
         (_failed_bicgstab, "info=1"),

@@ -7,64 +7,12 @@ import pytest
 from conelab import fd, green, symcone
 from conelab.green import (BoundReport, GreenBallSpec, abp_constant,
                            best_constant_ball, bound_report_for, contact_mask,
-                           fk_pointwise, green_ball, green_ball_profile,
-                           green_ball_radial, green_depth, green_inf_bound,
-                           precise_bound_check, psi_from_f, rho_star_field,
-                           theorem_rhs)
+                           green_ball_profile, green_ball_radial,
+                           rho_star_field, theorem_rhs)
 from conelab.radial import radial_fk, unit_ball_volume
-from conelab.symcone import elem_sym, spectrum_of
 
 SUPPORTED = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
              (5, 3), (5, 4), (6, 3), (6, 5)]
-
-
-def random_symmetric(rng, n):
-    M = rng.normal(size=(n, n))
-    return (M + M.T) / 2
-
-
-class TestFkPointwise:
-    def test_minus_two_identity(self):
-        assert np.isclose(fk_pointwise(-2 * np.eye(3), 2), 12.0)
-
-    def test_identity(self):
-        for n, k in [(3, 1), (4, 2), (5, 3)]:
-            assert np.isclose(fk_pointwise(np.eye(n), k), comb(n, k))
-
-    def test_rank_deficient_determinant(self):
-        H = np.diag([0.0, 2.0, 3.0])
-        assert fk_pointwise(H, 3) == 0.0
-
-    def test_matches_spectral_route(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            H = random_symmetric(rng, n)
-            k = int(rng.integers(1, n + 1))
-            lam = spectrum_of(H)
-            assert np.isclose(fk_pointwise(H, k), elem_sym(lam, k),
-                              atol=1e-10 * max(1, np.abs(lam).max() ** k))
-
-
-class TestPsiFromF:
-    def test_ratio_one(self):
-        for n, k in [(3, 2), (4, 3)]:
-            assert np.isclose(psi_from_f(float(n), 1.0, n, k), comb(n, k))
-
-    def test_zero_f(self):
-        assert psi_from_f(0.0, 1.0, 3, 2) == 0.0
-
-    def test_worked_value(self):
-        assert np.isclose(psi_from_f(6.0, 2.0, 3, 2), 3.0)
-
-    def test_monotone(self):
-        a = psi_from_f(1.0, 1.0, 3, 2)
-        assert psi_from_f(2.0, 1.0, 3, 2) > a
-        assert psi_from_f(1.0, 2.0, 3, 2) < a
-
-    def test_nonpositive_rho(self):
-        with pytest.raises(ValueError):
-            psi_from_f(1.0, 0.0, 3, 2)
 
 
 def ball_grid(n, h):
@@ -76,13 +24,13 @@ class TestContactMask:
         g = ball_grid(2, 0.1)
         u = fd.field_from_function(g, lambda x: 1 - np.sum(x ** 2, -1))
         for k in (1, 2):
-            m = contact_mask(u, k, "upper")
+            m = contact_mask(u, k)
             assert np.array_equal(m.mask, g.interior)
 
     def test_convex_empty(self):
         g = ball_grid(2, 0.1)
         u = fd.field_from_function(g, lambda x: 0.5 * np.sum(x ** 2, -1))
-        m = contact_mask(u, 1, "upper")
+        m = contact_mask(u, 1)
         # only Hessian-less rim nodes can survive (kept conservatively)
         H, valid = fd.hessian_field(u)
         assert not np.any(m.mask & valid)
@@ -92,31 +40,16 @@ class TestContactMask:
         u = fd.field_from_function(
             g, lambda x: 0.5 * (x[..., 0] ** 2 - x[..., 1] ** 2))
         H, valid = fd.hessian_field(u)
-        m2 = contact_mask(u, 2, "upper")
+        m2 = contact_mask(u, 2)
         assert not np.any(m2.mask & valid)      # det < 0 everywhere
-        m1 = contact_mask(u, 1, "upper")
+        m1 = contact_mask(u, 1)
         assert np.all(m1.mask[valid])           # S_1 = 0, closed cone
-
-    def test_upper_lower_duality(self):
-        g = ball_grid(2, 0.1)
-        rng = np.random.default_rng(5)
-        u = fd.ScalarField(g, rng.normal(size=g.shape))
-        neg = fd.ScalarField(g, -u.values)
-        up = contact_mask(u, 2, "upper")
-        lo = contact_mask(neg, 2, "lower")
-        assert np.array_equal(up.mask, lo.mask)
 
     def test_subset_of_interior(self):
         g = ball_grid(2, 0.1)
         u = fd.field_from_function(g, lambda x: 1 - np.sum(x ** 2, -1))
-        m = contact_mask(u, 2, "upper")
+        m = contact_mask(u, 2)
         assert not np.any(m.mask & ~g.interior)
-
-    def test_bad_kind(self):
-        g = ball_grid(2, 0.1)
-        u = fd.ScalarField(g, np.zeros(g.shape))
-        with pytest.raises(ValueError):
-            contact_mask(u, 2, "sideways")
 
 
 class TestGreenBall:
@@ -127,7 +60,7 @@ class TestGreenBall:
 
     def test_worked_value(self):
         spec = GreenBallSpec(3, 2, 1.0)
-        v = green_ball(spec, np.array([0.25, 0.0, 0.0]))
+        v = green_ball_radial(spec, 0.25)
         assert np.isclose(v, -1.0 / np.sqrt(4 * np.pi), rtol=1e-12)
 
     def test_cone_branch(self):
@@ -154,7 +87,7 @@ class TestGreenBall:
     def test_outside_rejected(self):
         spec = GreenBallSpec(3, 2, 1.0)
         with pytest.raises(ValueError):
-            green_ball(spec, np.array([1.2, 0.0, 0.0]))
+            green_ball_radial(spec, 1.2)
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
@@ -164,31 +97,8 @@ class TestGreenBall:
         assert GreenBallSpec(4, 2, 1.0).log_branch
         assert not GreenBallSpec(3, 2, 1.0).log_branch
 
-    def test_offcenter_pole(self):
-        y = (0.2, -0.1, 0.0)
-        spec = GreenBallSpec(3, 2, 1.0, y=y)
-        x = np.array(y) + [0.25, 0.0, 0.0]
-        assert np.isclose(green_ball(spec, x),
-                          -1.0 / np.sqrt(4 * np.pi), rtol=1e-12)
-
 
 class TestConstants:
-    def test_green_inf_bound_worked(self):
-        assert np.isclose(green_inf_bound(3, 2, 2.0),
-                          -2 * np.sqrt(2) / np.sqrt(4 * np.pi), rtol=1e-12)
-
-    def test_ball_depth_vs_inf_bound(self):
-        # pole depth at radius R beats the diam = 2R bound by 2^{-(2-n/k)}
-        for n, k in [(3, 2), (3, 3), (4, 3), (5, 3)]:
-            d = green_depth(n, k, 1.0)
-            b = -green_inf_bound(n, k, 2.0)
-            assert d <= b + 1e-15
-            assert np.isclose(d / b, 2.0 ** -(2 - n / k), rtol=1e-12)
-
-    def test_cone_depth(self):
-        assert np.isclose(green_inf_bound(3, 3, 2.0),
-                          -2.0 / unit_ball_volume(3) ** (1 / 3), rtol=1e-14)
-
     def test_abp_worked_values(self):
         assert np.isclose(abp_constant(3, 2, 1.0),
                           (2 / 3) / np.sqrt(4 * np.pi / 3), rtol=1e-12)
@@ -220,30 +130,9 @@ class TestConstants:
         assert np.isclose(best_constant_ball(3, 2, 1.0), 0.325735, atol=1e-5)
 
     def test_unsupported_k(self):
-        for fn in (green_inf_bound, abp_constant, best_constant_ball):
+        for fn in (abp_constant, best_constant_ball):
             with pytest.raises(ValueError):
                 fn(4, 2, 1.0)
-
-
-class TestPreciseBoundCheck:
-    def test_zero_uy(self):
-        spec = GreenBallSpec(3, 2, 1.0)
-        precise, crude = precise_bound_check(0.0, spec, 1.0)
-        assert precise.margin >= 0 and crude.margin >= 0
-
-    def test_precise_tighter(self):
-        spec = GreenBallSpec(3, 2, 1.0)
-        precise, crude = precise_bound_check(-0.1, spec, 1.0)
-        assert precise.rhs <= crude.rhs
-
-    def test_degenerate_rhs_flags_violation(self):
-        spec = GreenBallSpec(3, 2, 1.0)
-        precise, crude = precise_bound_check(-0.5, spec, 0.0)
-        assert precise.margin < 0 and crude.margin < 0
-
-    def test_negative_integral_rejected(self):
-        with pytest.raises(ValueError):
-            precise_bound_check(0.0, GreenBallSpec(3, 2, 1.0), -1.0)
 
 
 class TestRhoStarField:

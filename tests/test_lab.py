@@ -30,6 +30,9 @@ NO_ALPHA_JOB = {"exp": "max_principle", "name": "no_alpha", "n": 3, "k": 2,
                 "q": 2.0, "operator": {"type": "gilbarg_serrin"}}
 # eps = 1 makes log_family divide by log 1 = 0
 EPS_ONE_JOB = {**LOG_JOB, "name": "eps_one", "eps_ladder": [1.0, 0.5, 0.25]}
+# a radial experiment given a lattice domain: ValueError naming the domain
+LOG_BOX_JOB = {**LOG_JOB, "name": "log_box",
+               "domain": {"kind": "box", "lo": [0.0] * 4, "hi": [5.0] * 4}}
 
 
 @pytest.fixture(autouse=True)
@@ -292,6 +295,7 @@ class TestRunSuite:
         *[(job, 2, "ValueError: field 'domain'") for job in BOX_JOBS],
         (NO_ALPHA_JOB, 2, "ValueError: field 'operator.alpha'"),
         (EPS_ONE_JOB, 2, "ValueError: field 'eps_ladder'"),
+        (LOG_BOX_JOB, 2, "ValueError: field 'domain'"),
     ])
     def test_raising_job_keeps_other_reports(self, tmp_path, bad, code,
                                              error):

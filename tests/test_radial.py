@@ -151,16 +151,6 @@ class TestMollifiedProfile:
 
 
 class TestSplineProfile:
-    def test_tabulated_derivatives(self):
-        r = np.linspace(0.1, 1.0, 400)
-        prof = RadialProfile(np.sin(3 * r), r_samples=r)
-        mid = np.linspace(0.2, 0.9, 23)
-        assert np.allclose(prof.du(mid), 3 * np.cos(3 * mid), atol=1e-4)
-
-    def test_decreasing_samples_rejected(self):
-        with pytest.raises(ValueError):
-            RadialProfile([1.0, 2.0], r_samples=[1.0, 0.5])
-
     def test_derived_profile_has_no_derivative(self):
         lu = radial_apply(3, 0.0, quadratic_profile())
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Cone-calculus unit and property tests."""
 
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import pytest
@@ -169,8 +168,10 @@ class TestRhoStar:
             sc.rho_star([-1, 2, 3, 4, 5], 3)
 
     def test_boundary_flag(self):
-        val, flagged = sc.rho_star_detail(sc.gs_spectrum(3, 0.5), 2)
-        assert val == 0.0 and flagged
+        assert sc.rho_star(sc.gs_spectrum(3, 0.5), 2) == 0.0
+
+    def test_boundary_spectrum_has_zero_gauge(self):
+        assert sc.rho_star(sc.spectrum_of(np.diag([1.0, 1.0, 4.0])), 2) == 0.0
 
     def test_homogeneity(self):
         rng = np.random.default_rng(4)
@@ -300,32 +301,6 @@ class TestSpectrumOf:
             sc.spectrum_of(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-class TestSkMinors:
-    def test_diag(self):
-        assert sc.sk_minors(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11)
-
-    def test_identity(self):
-        for n in (3, 4, 5):
-            for k in range(1, n + 1):
-                assert sc.sk_minors(np.eye(n), k) == pytest.approx(comb(n, k))
-
-    def test_orthogonal_invariance(self):
-        rng = np.random.default_rng(9)
-        q = random_orthogonal(3, rng)
-        a = q @ np.diag([1.0, 2.0, 3.0]) @ q.T
-        a = (a + a.T) / 2
-        assert sc.sk_minors(a, 2) == pytest.approx(11, abs=1e-10)
-
-    def test_matches_spectrum_route(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            a = rng.standard_normal((4, 4))
-            a = (a + a.T) / 2
-            for k in (1, 2, 3, 4):
-                assert sc.sk_minors(a, k) == pytest.approx(
-                    sc.elem_sym(sc.spectrum_of(a), k), abs=1e-10)
-
-
 class TestGamma2StarMatrix:
     def test_identity(self):
         v = sc.gamma2_star_matrix_test(np.eye(3))
@@ -343,27 +318,6 @@ class TestGamma2StarMatrix:
             v2 = sc.in_dual_cone(sc.spectrum_of(a), 2)
             if abs(v2.margin) > 1e-9:
                 assert v1.member == v2.member
-
-
-class TestLambdaChain:
-    def test_identity(self):
-        assert sc.lambda_chain_check(np.eye(3), 2, np.sqrt(3), 1.0)
-
-    def test_interior_anisotropic(self):
-        # diag(1,1,4) sits exactly on the G*_2 boundary (rho*_2 = 0), so an
-        # interior point is used for the positive chain check
-        a = np.diag([1.0, 1.0, 3.0])
-        a0 = np.linalg.norm(a)
-        rho0 = sc.rho_star(sc.spectrum_of(a), 2)
-        assert rho0 > 0
-        assert sc.lambda_chain_check(a, 2, a0, rho0)
-
-    def test_boundary_spectrum_has_zero_gauge(self):
-        assert sc.rho_star(sc.spectrum_of(np.diag([1.0, 1.0, 4.0])), 2) == 0.0
-
-    def test_degenerate_precondition(self):
-        with pytest.raises(ValueError):
-            sc.lambda_chain_check(np.diag([1.0, 1.0, 0.0]), 2, 2.0, 0.5)
 
 
 class TestProposition21:

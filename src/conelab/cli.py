@@ -3,8 +3,11 @@
 Subcommands: cone eval|dual|rho-star, solve, exp, suite.  Spectra are
 comma-separated literals; configs are JSON files.  Exit code 0 on success
 (and all verdicts passing for exp/suite), 1 on failing verdicts, 2 on
-usage or configuration errors, 3 on a numerical failure (NumericError: a
-linear solve, optimizer or quadrature that did not converge).  A suite runs
+usage or configuration errors (a ValueError: a malformed spectrum, a
+missing, unreadable or invalid config), 3 on a numerical failure
+(NumericError: a linear solve, optimizer or quadrature that did not
+converge).  The commands raise; main alone maps each error to one
+"error:" line on stderr and its code, and returns the code.  A suite runs
 every job, lists the errors raised, and exits with the highest code.
 
 CONELAB_LOG=<level> (debug, info, warning or error) sends the records of
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -26,20 +30,12 @@ import numpy as np
 from . import fd, lab, serialize, symcone
 
 
-def usage_error(msg):
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(2)
-
-
 def parse_spectrum(text):
     try:
-        lam = np.array([float(x) for x in text.split(",")])
+        return np.array([float(x) for x in text.split(",")])
     except ValueError:
-        usage_error(f"malformed spectrum {text!r}; "
-                    "expected comma-separated reals")
-    if lam.size < 2:
-        usage_error("a spectrum needs at least two entries")
-    return lam
+        raise ValueError(f"malformed spectrum {text!r}; "
+                         "expected comma-separated reals") from None
 
 
 def _emit(obj):
@@ -50,18 +46,12 @@ def _emit(obj):
 def cmd_cone(args):
     lam = parse_spectrum(args.spectrum)
     k = args.k
-    if not 1 <= k <= lam.size:
-        usage_error(f"k={k} out of range for n={lam.size}")
     if args.action == "eval":
-        _emit(symcone.in_cone(lam, k).as_dict())
+        _emit(dataclasses.asdict(symcone.in_cone(lam, k)))
     elif args.action == "dual":
-        _emit(symcone.in_dual_cone(lam, k).as_dict())
+        _emit(dataclasses.asdict(symcone.in_dual_cone(lam, k)))
     else:
-        out = {"k": k, "n": lam.size}
-        try:
-            out["rho_star"] = symcone.rho_star(lam, k)
-        except ValueError as exc:
-            usage_error(str(exc))
+        out = {"k": k, "n": lam.size, "rho_star": symcone.rho_star(lam, k)}
         if args.oracle:
             out["oracle"] = symcone.rho_star_oracle(lam, k,
                                                     samples=args.oracle,
@@ -74,7 +64,7 @@ def cmd_solve(args):
     cfg = serialize.load_json(args.config)
     ecfg = lab.parse_config(cfg)
     if ecfg.domain is None:
-        usage_error("solve needs a 'domain' in the config")
+        raise ValueError("solve needs a 'domain' in the config")
     grid, coeff, f, u = lab._solve(ecfg, ecfg.h_ladder[0])
     sup, inf, osc = fd.sup_inf_osc(u)
     os.makedirs(args.out, exist_ok=True)
@@ -89,21 +79,16 @@ def cmd_solve(args):
 
 def cmd_exp(args):
     cfg = serialize.load_json(args.config)
-    cfg.setdefault("name", args.name)
-    try:
-        rep = lab.run_one(args.name, cfg)
-    except ValueError as exc:
-        usage_error(str(exc))
+    if isinstance(cfg, dict):     # parse_config rejects anything else
+        cfg.setdefault("name", args.name)
+    rep = lab.run_one(args.name, cfg)
     lab.write_report(rep, args.out)
     _emit(serialize.report_to_dict(rep))
     return 0 if rep.passed else 1
 
 
 def cmd_suite(args):
-    try:
-        reports, code = lab.run_suite(args.config, out_dir=args.out)
-    except ValueError as exc:
-        usage_error(str(exc))
+    reports, code = lab.run_suite(args.config, out_dir=args.out)
     for r in reports:
         if r.exc is not None:
             print(f"error: {r.exc}", file=sys.stderr)
@@ -159,8 +144,8 @@ def _stderr_logging():
         return
     level = logging.getLevelName(name.upper())    # an int for a level name
     if not isinstance(level, int):
-        usage_error(f"CONELAB_LOG: unknown level {name!r}; "
-                    "choose debug, info, warning or error")
+        raise ValueError(f"CONELAB_LOG: unknown level {name!r}; "
+                         "choose debug, info, warning or error")
     logger = logging.getLogger("conelab")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(
@@ -176,13 +161,15 @@ def _stderr_logging():
 
 
 def main(argv=None):
+    """Run one command; returns its exit code.  Argparse's own usage
+    errors raise SystemExit(2)."""
     args = build_parser().parse_args(argv)
-    with _stderr_logging():
-        try:
+    try:
+        with _stderr_logging():
             return args.fn(args)
-        except tuple(lab.ERROR_EXIT_CODES) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return lab.error_exit_code(exc)
+    except tuple(lab.ERROR_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return lab.error_exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -81,10 +81,9 @@ class Domain:
         return float(np.linalg.norm(self.hi - self.lo))
 
     def to_dict(self):
-        if self.kind == "ball":
-            return {"kind": "ball", "center": self.center.tolist(),
-                    "radius": self.radius}
-        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
+        return {"kind": self.kind, **{
+            key: np.asarray(getattr(self, key)).tolist()
+            for key in DOMAIN_KEYS[self.kind]}}
 
     @staticmethod
     def from_dict(d):
@@ -490,12 +489,11 @@ def hessian_field(u):
 
 
 def interior_eroded(grid, layers):
-    """Interior mask eroded by the given number of cube layers."""
-    m = grid.interior
-    st = np.ones((3,) * grid.dim, dtype=bool)
-    for _ in range(layers):
-        m = binary_erosion(m, structure=st)
-    return m
+    """Interior mask eroded by layers >= 1 cube layers (scipy reads
+    iterations < 1 as "erode until nothing changes")."""
+    return binary_erosion(grid.interior,
+                          structure=np.ones((3,) * grid.dim, dtype=bool),
+                          iterations=layers)
 
 
 def w22_seminorm(u, mask):

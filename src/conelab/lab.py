@@ -30,9 +30,10 @@ class Verdict:
     target: float
     tol: float
 
-    def as_dict(self):
-        return {"name": self.name, "passed": bool(self.passed),
-                "value": self.value, "target": self.target, "tol": self.tol}
+    def __post_init__(self):
+        # verdicts computed with numpy compare to np.bool_, which json
+        # cannot encode
+        self.passed = bool(self.passed)
 
 
 @dataclass
@@ -42,24 +43,12 @@ class SlopeFit:
     half_width: float
     expected: float | None = None
 
-    def as_dict(self):
-        return {"label": self.label, "slope": self.slope,
-                "half_width": self.half_width, "expected": self.expected}
-
-
-@dataclass
-class Run:
-    data: dict
-
-    def as_dict(self):
-        return dict(self.data)
-
 
 @dataclass
 class ExperimentReport:
     name: str
     config_echo: dict
-    runs: list = field(default_factory=list)
+    runs: list = field(default_factory=list)     # one dict per run
     slopes: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
     plots: dict = field(default_factory=dict)   # filename -> (comment, cols)
@@ -215,6 +204,9 @@ def _check_param(value, ndim, n):
     _require(arr.shape == (n,) * ndim and np.all(np.isfinite(arr)),
              f"need {('one', n, f'{n} x {n}')[ndim]} finite "
              f"number{'s' * bool(ndim)}, got {value!r}")
+    # the assembly reads one triangle and the spectrum the other
+    _require(ndim != MATRIX or np.array_equal(arr, arr.T),
+             f"need an exactly symmetric matrix, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -360,15 +352,15 @@ def exp_max_principle(cfg, rep):
     for h in cfg.h_ladder:
         grid, coeff, f, u = _solve(cfg, h)
         br = green.bound_report_for(u, f, coeff, cfg.k, cfg.q, const)
-        rep.runs.append(Run({"h": h, **br.as_dict()}))
-    margins = [r.data["margin"] for r in rep.runs]
+        rep.runs.append({"h": h, **br.as_dict()})
+    margins = [r["margin"] for r in rep.runs]
     rep.verdicts.append(Verdict("margin_nonneg", min(margins) >= 0.0,
                                 min(margins), 0.0, 0.0))
     rep.plots["margin_vs_h.csv"] = (
         "sup-bound margin per spacing",
-        {"h": [r.data["h"] for r in rep.runs],
-         "lhs": [r.data["lhs"] for r in rep.runs],
-         "rhs": [r.data["rhs"] for r in rep.runs],
+        {"h": [r["h"] for r in rep.runs],
+         "lhs": [r["lhs"] for r in rep.runs],
+         "rhs": [r["rhs"] for r in rep.runs],
          "margin": margins})
 
 
@@ -390,18 +382,14 @@ def exp_sharpness(cfg, rep):
     n, k = cfg.n, cfg.k
     if 2 * k <= n:
         raise ValueError("sharpness family requires k > n/2")
-    qs = cfg.q_list or (cfg.q,)
-    sups = []
-    for q in qs:
+    families = [sharpness_family(n, k, eps) for eps in cfg.eps_ladder]
+    sups = [sup_w for _, sup_w in families]
+    for q in cfg.q_list or (cfg.q,):
         norms = []
-        for eps in cfg.eps_ladder:
-            lu, sup_w = sharpness_family(n, k, eps)
+        for eps, (lu, sup_w) in zip(cfg.eps_ladder, families):
             nm = radial.radial_lq_norm(lu, n, q, (0.0, 1.0))
             norms.append(nm)
-            rep.runs.append(Run({"q": q, "eps": eps, "norm": nm,
-                                 "sup": sup_w}))
-            if q == qs[0]:
-                sups.append(sup_w)
+            rep.runs.append({"q": q, "eps": eps, "norm": nm, "sup": sup_w})
         slope, hw = fit_loglog(cfg.eps_ladder, norms)
         expected = n / q - n / k
         rep.slopes.append(SlopeFit(f"norm_decay_q={q:g}", slope, hw,
@@ -439,8 +427,8 @@ def exp_log_family(cfg, rep):
         inf_u = float(np.min(prof.u(rs)))
         norms.append(nm)
         infs.append(inf_u)
-        rep.runs.append(Run({"eps": eps, "norm": nm, "inf": inf_u,
-                             "inf_over_log": inf_u / float(np.log(eps))}))
+        rep.runs.append({"eps": eps, "norm": nm, "inf": inf_u,
+                         "inf_over_log": inf_u / float(np.log(eps))})
     dev = max(abs(nm / target - 1.0) for nm in norms)
     rep.verdicts.append(Verdict("norm_flat", dev <= 0.02,
                                 dev, 0.0, 0.02))
@@ -468,10 +456,10 @@ def exp_local_max(cfg, rep):
     the full ball plus a scaled rhs norm.  Property run: the ratio must be
     stable under h-refinement (max/min <= 1.5), no value asserted."""
     R = cfg.domain.radius
+    rho0 = _rho0(cfg)
     ratios = []
     for h in cfg.h_ladder:
         grid, _, f, u = _solve(cfg, h)
-        rho0 = _rho0(cfg)
         r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         inner = grid.interior & (r < cfg.sigma * R)
         up = fd.ScalarField(grid, np.maximum(u.values, 0.0))
@@ -482,8 +470,8 @@ def exp_local_max(cfg, rep):
         denom = mean_p + fterm
         ratio = lhs / denom if denom > 0 else 0.0
         ratios.append(ratio)
-        rep.runs.append(Run({"h": h, "lhs": lhs, "mean_term": mean_p,
-                             "f_term": fterm, "ratio": ratio}))
+        rep.runs.append({"h": h, "lhs": lhs, "mean_term": mean_p,
+                         "f_term": fterm, "ratio": ratio})
     pos = [x for x in ratios if x > 0]
     spread = max(pos) / min(pos) if pos else 1.0
     rep.verdicts.append(Verdict("ratio_h_stable", spread <= 1.5,
@@ -519,7 +507,7 @@ def exp_oscillation(cfg, rep):
             else:
                 harnack = np.inf
             run["harnack_ratio"] = harnack
-        rep.runs.append(Run(run))
+        rep.runs.append(run)
     if max(oscs) <= 1e-14:
         rep.verdicts.append(Verdict("osc_decay", True, 0.0, 0.0, 0.0))
     else:
@@ -528,7 +516,7 @@ def exp_oscillation(cfg, rep):
         rep.verdicts.append(Verdict("osc_decay_positive", slope > 0.0,
                                     slope, 0.0, 0.0))
     if nonneg:
-        hr = [r_.data.get("harnack_ratio", 0.0) for r_ in rep.runs]
+        hr = [r_.get("harnack_ratio", 0.0) for r_ in rep.runs]
         rep.verdicts.append(Verdict("harnack_finite",
                                     bool(np.all(np.isfinite(hr))),
                                     float(np.max(hr)), 0.0, 0.0))
@@ -554,21 +542,21 @@ def exp_w22(cfg, rep):
         vals[grid.interior] = f.values[grid.interior] / rho
         den = fd.lq_norm(fd.ScalarField(grid, vals), 2.0)
         if den <= 1e-14:
-            rep.runs.append(Run({"h": h, "num": num, "den": den,
-                                 "ratio": None, "degenerate": True}))
+            rep.runs.append({"h": h, "num": num, "den": den,
+                             "ratio": None, "degenerate": True})
             continue
         ratio = num / den
         ratios.append(ratio)
-        rep.runs.append(Run({"h": h, "num": num, "den": den,
-                             "ratio": ratio}))
+        rep.runs.append({"h": h, "num": num, "den": den,
+                         "ratio": ratio})
     if ratios:
         spread = max(ratios) / min(ratios)
         rep.verdicts.append(Verdict("ratio_h_stable", spread <= 1.5,
                                     spread, 1.0, 0.5))
         rep.plots["ratio_vs_h.csv"] = (
             "second-derivative ratio per spacing",
-            {"h": [r_.data["h"] for r_ in rep.runs if not
-                   r_.data.get("degenerate")],
+            {"h": [r_["h"] for r_ in rep.runs if not
+                   r_.get("degenerate")],
              "ratio": ratios})
     else:
         rep.verdicts.append(Verdict("degenerate_all_runs", True,
@@ -652,6 +640,8 @@ def run_suite(battery, out_dir=None):
     NumericError yields a report with that error, no verdicts and no
     files.  Returns (reports, exit_code), the code being the highest of 0
     (passed), 1 (a verdict failed) and error_exit_code of each error.
+    Each job's files go to <out_dir>/<name>, so a name (default
+    "experiment") must be one plain path component, used by one job only.
     """
     if isinstance(battery, str):
         battery = serialize.load_json(battery)
@@ -660,9 +650,18 @@ def run_suite(battery, out_dir=None):
              f"field, an 'experiments' list; got {sorted(battery)}")
     jobs = battery["experiments"]
     _require(isinstance(jobs, list), "'experiments' must be a list")
+    names = []
     for i, job in enumerate(jobs):
         _require(isinstance(job, dict) and "exp" in job,
                  f"experiments[{i}]: each entry needs an 'exp' field")
+        name = str(job.get("name", ExperimentConfig.name))
+        _require(name not in ("", ".", "..")
+                 and os.path.basename(name) == name,
+                 f"experiments[{i}].name: {name!r} is not a plain "
+                 f"directory name")
+        _require(name not in names,
+                 f"experiments[{i}].name: {name!r} names an earlier job")
+        names.append(name)
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         futures = [pool.submit(_run_job, job) for job in jobs]
         reports = [f.result() for f in futures]

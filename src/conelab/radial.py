@@ -91,18 +91,16 @@ def radial_lq_norm(prof, n, q, r_range):
     return total ** (1.0 / q)
 
 
-def power_profile(alpha, breakpoints=()):
+def power_profile(alpha):
     """u(r) = r^alpha in closed form (alpha = 0 gives log r)."""
     if alpha == 0.0:
         return RadialProfile(np.log,
                              du=lambda r: 1.0 / r,
-                             d2u=lambda r: -1.0 / np.asarray(r) ** 2,
-                             breakpoints=breakpoints)
+                             d2u=lambda r: -1.0 / np.asarray(r) ** 2)
     return RadialProfile(lambda r: np.asarray(r) ** alpha,
                          du=lambda r: alpha * np.asarray(r) ** (alpha - 1),
                          d2u=lambda r: alpha * (alpha - 1)
-                         * np.asarray(r) ** (alpha - 2),
-                         breakpoints=breakpoints)
+                         * np.asarray(r) ** (alpha - 2))
 
 
 def mollified_power_profile(alpha, eps):

@@ -7,6 +7,7 @@ little-endian float64 in row-major order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -15,17 +16,20 @@ import numpy as np
 MAGIC = b"CNLB1"
 
 
+def _node_csv(path, grid, mask, columns):
+    """One row per node of mask in row-major order: its coordinates
+    x1,...,xn, then each named lattice array of columns at that node."""
+    idx = np.argwhere(mask)
+    names = [f"x{d + 1}" for d in range(grid.dim)] + list(columns)
+    data = [ax[i] for ax, i in zip(grid.axes, idx.T)]
+    data += [arr[mask] for arr in columns.values()]
+    np.savetxt(path, np.column_stack(data), delimiter=",",
+               header=",".join(names), comments="", fmt="%.17g")
+
+
 def field_to_csv(field, path):
     """Active-node table with header x1,...,xn,value (row-major order)."""
-    grid = field.grid
-    n = grid.dim
-    idx = np.argwhere(grid.active)
-    coords = np.stack([grid.axes[d][idx[:, d]] for d in range(n)], axis=1)
-    vals = field.values[tuple(idx.T)]
-    header = ",".join(f"x{d + 1}" for d in range(n)) + ",value"
-    data = np.column_stack([coords, vals])
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    _node_csv(path, field.grid, field.grid.active, {"value": field.values})
 
 
 def field_to_binary(field, path):
@@ -52,13 +56,7 @@ def field_values_from_binary(path):
 
 def mask_to_csv(grid, mask, path):
     """Node list of a boolean mask with header x1,...,xn (for plotting)."""
-    n = grid.dim
-    idx = np.argwhere(mask)
-    coords = np.stack([grid.axes[d][idx[:, d]] for d in range(n)], axis=1) \
-        if len(idx) else np.zeros((0, n))
-    header = ",".join(f"x{d + 1}" for d in range(n))
-    np.savetxt(path, coords, delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    _node_csv(path, grid, mask, {})
 
 
 def write_plot_csv(path, comment, columns):
@@ -66,24 +64,19 @@ def write_plot_csv(path, comment, columns):
 
     columns is an ordered mapping name -> 1-d sequence, all equal length.
     """
-    names = list(columns)
-    arrs = [np.asarray(columns[k], dtype=float) for k in names]
-    if len({a.shape for a in arrs}) != 1:
-        raise ValueError("plot columns must have equal length")
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}\n")
-        fh.write("# columns: " + ",".join(names) + "\n")
-        for row in zip(*arrs):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack([np.asarray(col, dtype=float)
+                                      for col in columns.values()]),
+               delimiter=",", fmt="%.17g", comments="# ",
+               header=f"{comment}\ncolumns: " + ",".join(columns))
 
 
 def report_to_dict(report):
     return {
         "name": report.name,
         "config": report.config_echo,
-        "runs": [r.as_dict() for r in report.runs],
-        "slopes": [s.as_dict() for s in report.slopes],
-        "verdicts": [v.as_dict() for v in report.verdicts],
+        "runs": report.runs,
+        "slopes": [dataclasses.asdict(s) for s in report.slopes],
+        "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
     }
 
 
@@ -94,9 +87,13 @@ def report_to_json(report, path):
 
 
 def load_json(path):
+    """The JSON value in the file at path; ValueError naming the path when
+    the file cannot be read or holds no valid JSON."""
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc

@@ -35,10 +35,6 @@ class ConeVerdict:
     k: int
     variant: str
 
-    def as_dict(self):
-        return {"member": self.member, "margin": self.margin,
-                "k": self.k, "variant": self.variant}
-
 
 def _check_spectrum(lam):
     lam = np.asarray(lam, dtype=float)
@@ -79,11 +75,10 @@ def elem_sym(lam, k):
     return float(elem_sym_table(lam)[k])
 
 
-def _elem_sym_jac(mu, k, e=None):
-    """Stacked gradients of S_1..S_k, shape (k, n)."""
+def _elem_sym_jac(mu, k, e):
+    """Stacked gradients of S_1..S_k, shape (k, n); e is
+    elem_sym_table(mu)."""
     mu = np.asarray(mu, dtype=float)
-    if e is None:
-        e = elem_sym_table(mu)
     rows = np.empty((k, mu.size))
     d = np.ones_like(mu)
     rows[0] = d
@@ -258,7 +253,8 @@ def rho_star_closed_form_2(lam):
 
 
 def _rho_star_newton(lam, k):
-    """Critical-point fast path: solve lam = c * grad S_k(mu), S_k(mu) = C(n,k).
+    """Critical-point polish after the SLSQP minimum: solve
+    lam = c * grad S_k(mu), S_k(mu) = C(n,k).
 
     Returns a candidate value or None; callers must validate against an
     independently obtained bound (Newton can land on non-minimizing points).

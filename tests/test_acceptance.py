@@ -243,8 +243,8 @@ def test_criterion_06_explicit_constant_bound(tmp_path):
     by_name = {r.name: r for r in reports}
     for rep in reports:
         for run in rep.runs:
-            assert run.data["margin"] >= 0.0, (rep.name, run.data)
-    bubble = by_name["bubble"].runs[-1].data
+            assert run["margin"] >= 0.0, (rep.name, run)
+    bubble = by_name["bubble"].runs[-1]
     assert abs(bubble["lhs"] - 1.0) <= 0.05
     assert abs(bubble["rhs"] - 4.0) <= 0.2
 
@@ -342,7 +342,7 @@ def test_criterion_09_log_family():
         "name": "log", "n": 4, "k": 2, "q": 2.0, "mode": "exploratory"})
     target = 2 * 3 * np.sqrt(np.pi ** 2 / 2)
     assert abs(target - 13.3286) < 1e-3
-    norms = [r.data["norm"] for r in rep.runs]
+    norms = [r["norm"] for r in rep.runs]
     assert all(abs(nm / target - 1.0) <= 0.02 for nm in norms)
     ratio = next(v for v in rep.verdicts if v.name == "inf_over_log_to_one")
     assert ratio.passed and abs(ratio.value - 1.0) <= 5e-3

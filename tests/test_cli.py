@@ -1,10 +1,15 @@
 import json
 import logging
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conelab
 from conelab import cli, fd, serialize
 from conelab.symcone import NumericError
 
@@ -13,6 +18,17 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_failing(capsys, *argv):
+    """(exit code, stderr) of a command that fails: stderr holds exactly
+    one 'error:' line and no traceback."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [err.strip()], err
+    assert "Traceback" not in err
+    return code, err
 
 
 class TestConeCommands:
@@ -44,19 +60,19 @@ class TestConeCommands:
         assert np.isclose(d["oracle"], d["rho_star"], rtol=5e-3)
 
     def test_malformed_spectrum(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["cone", "eval", "--lambda", "1,zebra", "--k", "1"])
-        assert exc.value.code == 2
+        code, _ = run_failing(capsys, "cone", "eval", "--lambda", "1,zebra",
+                              "--k", "1")
+        assert code == 2
 
     def test_k_out_of_range(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["cone", "eval", "--lambda", "1,2", "--k", "5"])
-        assert exc.value.code == 2
+        code, _ = run_failing(capsys, "cone", "eval", "--lambda", "1,2",
+                              "--k", "5")
+        assert code == 2
 
     def test_rho_star_outside_dual_cone(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["cone", "rho-star", "--lambda", "1,1,9", "--k", "2"])
-        assert exc.value.code == 2
+        code, _ = run_failing(capsys, "cone", "rho-star", "--lambda",
+                              "1,1,9", "--k", "2")
+        assert code == 2
 
 
 class TestSolveCommand:
@@ -79,9 +95,8 @@ class TestSolveCommand:
     def test_missing_domain(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"n": 2, "k": 2, "q": 2.0}))
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["solve", "--config", str(p)])
-        assert exc.value.code == 2
+        code, _ = run_failing(capsys, "solve", "--config", str(p))
+        assert code == 2
 
     def test_malformed_drift_exits_2(self, capsys, tmp_path):
         cfg = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
@@ -140,10 +155,9 @@ class TestExpCommand:
     def test_strict_gate_rejection(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"n": 4, "k": 2, "q": 2.0}))
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["exp", "log_family", "--config", str(p),
-                      "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        code, _ = run_failing(capsys, "exp", "log_family", "--config",
+                              str(p), "--out", str(tmp_path))
+        assert code == 2
 
 
 class TestSuiteCommand:
@@ -184,9 +198,39 @@ class TestSuiteCommand:
     def test_bad_battery(self, capsys, tmp_path):
         p = tmp_path / "battery.json"
         p.write_text(json.dumps({"experiments": [{"name": "x"}]}))
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["suite", "--config", str(p), "--out", str(tmp_path)])
-        assert exc.value.code == 2
+        code, _ = run_failing(capsys, "suite", "--config", str(p),
+                              "--out", str(tmp_path))
+        assert code == 2
+
+
+class TestUnreadableConfig:
+    @pytest.mark.parametrize("command", [["solve"], ["exp", "max_principle"],
+                                         ["suite"]])
+    @pytest.mark.parametrize("config", ["missing", "directory", "array"])
+    def test_exits_2(self, capsys, tmp_path, command, config):
+        p = tmp_path / "cfg.json"
+        if config == "directory":
+            p.mkdir()
+        elif config == "array":
+            p.write_text("[]")
+        code, err = run_failing(capsys, *command, "--config", str(p),
+                                "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert config == "array" or str(p) in err
+
+    def test_process_exit_status(self, tmp_path):
+        # main returns the code; the module entry point hands it to sys.exit
+        src = str(pathlib.Path(conelab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "conelab.cli", "exp", "max_principle",
+             "--config", str(tmp_path / "missing.json"),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestLogEnvironment:
@@ -230,7 +274,9 @@ class TestLogEnvironment:
 
     def test_unknown_level_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CONELAB_LOG", "verbose")
-        with pytest.raises(SystemExit) as exc:
-            self._exp(capsys, tmp_path, "bad")
-        assert exc.value.code == 2
-        assert "CONELAB_LOG" in capsys.readouterr().err
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(self.CFG))
+        code, err = run_failing(capsys, "exp", "max_principle", "--config",
+                                str(p), "--out", str(tmp_path / "bad"))
+        assert code == 2
+        assert "CONELAB_LOG" in err

@@ -130,6 +130,12 @@ class TestConfigParsing:
          "q_rule_violation"),
         ({"eps_ladder": [1.0, 0.5, 0.25]}, "eps_ladder"),
         ({"eps_ladder": [2.0, 0.5, 0.25]}, "eps_ladder"),
+        ({"operator": {"type": "constant", "matrix": [
+            [1.0, 0.1, 0.0], [0.1000001, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+         "operator.matrix"),
+        ({"operator": {"type": "constant", "matrix": [
+            [1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+         "operator.matrix"),
     ])
     def test_misread_field_rejected(self, update, field):
         with pytest.raises(ValueError, match=field):
@@ -208,9 +214,9 @@ class TestLogFamily:
             "name": "l", "n": 4, "k": 2, "q": 2.0, "mode": "exploratory",
             "eps_ladder": [2.0 ** -j for j in range(3, 9)]})
         assert rep.passed
-        norms = [r.data["norm"] for r in rep.runs]
+        norms = [r["norm"] for r in rep.runs]
         assert np.ptp(norms) < 1e-9 * norms[0]
-        infs = [r.data["inf"] for r in rep.runs]
+        infs = [r["inf"] for r in rep.runs]
         assert infs[-1] < infs[0]  # diverges downward
 
     def test_wrong_q_rejected(self):
@@ -225,7 +231,7 @@ class TestMaxPrinciple:
             "name": "m", "n": 3, "k": 2, "q": 2.0, "h": [0.125],
             "domain": ball_dict(3), "f": {"type": "zero"}})
         assert rep.passed
-        assert rep.runs[0].data["lhs"] <= 0.0
+        assert rep.runs[0]["lhs"] <= 0.0
 
     def test_low_k_rejected(self):
         with pytest.raises(ValueError, match="k > n/2"):
@@ -254,7 +260,7 @@ class TestOscillation:
             "name": "o", "n": 2, "k": 2, "q": 2.0, "h": [0.125],
             "domain": ball_dict(2), "f": {"type": "zero"}})
         assert rep.passed
-        assert all(r.data["osc"] <= 1e-12 for r in rep.runs)
+        assert all(r["osc"] <= 1e-12 for r in rep.runs)
 
 
 class TestRunSuite:
@@ -321,6 +327,14 @@ class TestRunSuite:
             lab.run_suite({"experiments": [], "workers": 2})
         with pytest.raises(ValueError, match="exp"):
             lab.run_suite({"experiments": [{"name": "x"}]})
+        # both unnamed jobs would write to <out>/experiment
+        with pytest.raises(ValueError, match=r"experiments\[1\]\.name"):
+            lab.run_suite({"experiments": [{"exp": "max_principle"},
+                                           {"exp": "log_family"}]})
+        for name in ("", ".", "..", "../../escape"):
+            with pytest.raises(ValueError, match=r"experiments\[0\]\.name"):
+                lab.run_suite({"experiments": [{"exp": "log_family",
+                                                "name": name}]})
 
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):

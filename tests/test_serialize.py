@@ -115,12 +115,16 @@ class TestJson:
     def test_report_schema(self, tmp_path):
         from conelab import lab
         rep = lab.ExperimentReport("demo", {"n": 3})
-        rep.runs.append(lab.Run({"h": 0.1, "margin": 1.0}))
+        rep.runs.append({"h": 0.1, "margin": 1.0})
         rep.slopes.append(lab.SlopeFit("s", 2.0, 0.01, 2.0))
         rep.verdicts.append(lab.Verdict("v", True, 2.0, 2.0, 0.05))
+        # a verdict computed with numpy
+        rep.verdicts.append(lab.Verdict("np", np.float64(1.2) <= 1.5,
+                                        np.float64(1.2), 1.0, 0.5))
         p = tmp_path / "report.json"
         serialize.report_to_json(rep, p)
         d = json.loads(p.read_text())
         assert set(d) == {"name", "config", "runs", "slopes", "verdicts"}
         assert d["runs"][0]["margin"] == 1.0
         assert d["verdicts"][0]["passed"] is True
+        assert d["verdicts"][1]["passed"] is True

@@ -396,7 +396,7 @@ def _solve_linear(A, rhs):
     res = _rel_residual(A, sol, rhs)
     if not res <= RESIDUAL_TOL:
         raise NumericError(f"solve residual too large after fallback to "
-                           f"spsolve ({reason}): {res:.2e}", best=sol)
+                           f"spsolve ({reason}): {res:.2e}")
     return sol, "spsolve", iterations, res
 
 

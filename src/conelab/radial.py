@@ -15,7 +15,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .symcone import NumericError
 
-QUAD_REL_TOL = 1e-9     # relative tolerance radial_lq_norm asks of quad
+# quad's relative tolerance on the whole radial_lq_norm integral (all pieces)
+QUAD_REL_TOL = 1e-9
 
 
 def unit_ball_volume(n):
@@ -68,26 +69,27 @@ def radial_fk(n, k, prof, r):
 
 
 def radial_lq_norm(prof, n, q, r_range):
-    """(integral |u(r)|^q n omega_n r^{n-1} dr)^{1/q} by adaptive
-    quadrature over r_range, splitting at profile breakpoints."""
+    """(integral |u(r)|^q n omega_n r^{n-1} dr)^{1/q} by one adaptive
+    quadrature over r_range, with the profile breakpoints inside it passed
+    to quad as points; QUAD_REL_TOL is relative to the whole integral."""
     if q < 1:
         raise ValueError("need q >= 1")
-    a, b = map(float, r_range)
-    cuts = sorted({a, b} | {c for c in prof.breakpoints if a < c < b})
+    a, b = sorted(map(float, r_range))
+    points = [c for c in prof.breakpoints if a < c < b] or None
     surf = n * unit_ball_volume(n)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        with warnings.catch_warnings():
-            # convergence is gated on the returned error estimate below
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(lambda r: np.abs(prof.u(r)) ** q
-                            * surf * r ** (n - 1),
-                            lo, hi, limit=200, epsrel=QUAD_REL_TOL,
-                            epsabs=0.0)
-        if err > 1e-7 * max(abs(val), 1e-300) + 1e-13:
-            raise NumericError(f"quadrature did not converge on "
-                               f"[{lo}, {hi}]: err {err:.2e}")
-        total += val
+    with warnings.catch_warnings():
+        # convergence is gated on the returned error estimate below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total, err = quad(lambda r: np.abs(prof.u(r)) ** q
+                          * surf * r ** (n - 1),
+                          a, b, points=points, limit=200,
+                          epsrel=QUAD_REL_TOL, epsabs=0.0)
+    if err > 1e-7 * max(abs(total), 1e-300) + 1e-13:
+        raise NumericError(f"quadrature did not converge on "
+                           f"[{a}, {b}]: err {err:.2e}")
+    if not np.isfinite(total) or total < 0:
+        raise NumericError(f"quadrature over [{a}, {b}] returned {total!r}, "
+                           f"not a finite value >= 0: the integral diverges")
     return total ** (1.0 / q)
 
 

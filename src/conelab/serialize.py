@@ -88,12 +88,15 @@ def report_to_json(report, path):
 
 def load_json(path):
     """The JSON value in the file at path; ValueError naming the path when
-    the file cannot be read or holds no valid JSON."""
+    the file cannot be read, is not UTF-8 or holds no valid JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ValueError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason} at offset "
+                         f"{exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from exc

@@ -21,11 +21,7 @@ OPEN, CLOSED, DUAL = "open", "closed", "dual"
 
 
 class NumericError(RuntimeError):
-    """Optimizer or iteration failure; carries the best value found so far."""
-
-    def __init__(self, msg, best=None):
-        super().__init__(msg)
-        self.best = best
+    """A linear solve, optimizer, iteration or quadrature that failed."""
 
 
 @dataclass(frozen=True)
@@ -194,8 +190,7 @@ def _dual_margin_optimize(lam, k):
         if ok and s is seeds[0]:
             break   # slice seed converged; later seeds rarely improve
     if not ok:
-        raise NumericError("dual-cone minimization did not converge",
-                           best=best * scale)
+        raise NumericError("dual-cone minimization did not converge")
     return best * scale
 
 
@@ -484,8 +479,7 @@ def spectrum_of(A):
                 R[p, q] = s
                 R[q, p] = -s
                 A = R.T @ A @ R
-    raise NumericError("Jacobi eigensolver did not converge",
-                       best=np.sort(np.diag(A))[::-1])
+    raise NumericError("Jacobi eigensolver did not converge")
 
 
 def gamma2_star_matrix_test(A):

@@ -206,13 +206,16 @@ class TestSuiteCommand:
 class TestUnreadableConfig:
     @pytest.mark.parametrize("command", [["solve"], ["exp", "max_principle"],
                                          ["suite"]])
-    @pytest.mark.parametrize("config", ["missing", "directory", "array"])
+    @pytest.mark.parametrize("config", ["missing", "directory", "array",
+                                        "non_utf8"])
     def test_exits_2(self, capsys, tmp_path, command, config):
         p = tmp_path / "cfg.json"
         if config == "directory":
             p.mkdir()
         elif config == "array":
             p.write_text("[]")
+        elif config == "non_utf8":
+            p.write_bytes(b"\xff\xfe{}")
         code, err = run_failing(capsys, *command, "--config", str(p),
                                 "--out", str(tmp_path / "out"))
         assert code == 2

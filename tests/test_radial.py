@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conelab import radial
+from conelab import lab, radial
 from conelab.radial import (RadialProfile, mollified_power_profile,
                             power_profile, radial_apply, radial_fk,
                             radial_lq_norm, unit_ball_volume)
+from conelab.symcone import NumericError
 
 R_GRID = np.linspace(1e-3, 1.0, 997)
 
@@ -91,6 +92,82 @@ class TestRadialLqNorm:
     def test_q_below_one(self):
         with pytest.raises(ValueError):
             radial_lq_norm(quadratic_profile(), 3, 0.5, (0, 1))
+
+    def test_reversed_range(self):
+        prof = power_profile(-1.0)
+        assert (radial_lq_norm(prof, 3, 2.0, (1.0, 0.25))
+                == radial_lq_norm(prof, 3, 2.0, (0.25, 1.0)))
+
+    def test_divergent_integral_raises(self):
+        # int_0^1 r^-4 * 4 pi r^2 dr diverges; quad returns a negative value
+        # with a small error estimate, which must not become a complex norm
+        with pytest.raises(NumericError, match=r"\[0\.0, 1\.0\]"):
+            radial_lq_norm(power_profile(-2.0), 3, 2.0, (0.0, 1.0))
+
+    def test_integrable_singularity(self):
+        # int_0^1 r^-2.8 * 4 pi r^2 dr = 20 pi: the adaptive rule must
+        # resolve the r^-0.8 singularity at the origin
+        v = radial_lq_norm(power_profile(-1.4), 3, 2.0, (0.0, 1.0))
+        assert np.isclose(v, np.sqrt(20 * np.pi), rtol=1e-9)
+
+    def test_unmarked_jump(self):
+        # a jump at 0.3 that no breakpoint announces
+        step = RadialProfile(lambda r: np.where(np.asarray(r) < 0.3, 1.0, 2.0),
+                             du=None, d2u=None)
+        exact = 4 * np.pi * (0.3 ** 3 + 4 * (1 - 0.3 ** 3)) / 3
+        v = radial_lq_norm(step, 3, 2.0, (0.0, 1.0))
+        assert np.isclose(v, np.sqrt(exact), rtol=1e-9)
+
+    @pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -10])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 4)])
+    def test_sharpness_closed_form(self, n, k, q, eps):
+        # the quadratic core a r^2 + c has the constant Lu = 2a(n + beta),
+        # and r^alpha outside it is L-harmonic, so the norm is that constant
+        # times the core volume to the power 1/q
+        alpha = 2.0 - n / k
+        beta = -1.0 + (n - 1) / (1.0 - alpha)
+        a = alpha / 2.0 * eps ** (alpha - 2.0)
+        exact = (abs(2 * a * (n + beta))
+                 * (unit_ball_volume(n) * eps ** n) ** (1 / q))
+        # outside the core the evaluated Lu is the rounding noise of the
+        # cancelling sum (1 + beta) u'' + (n - 1) u'/r, at most about
+        # 2 macheps c r^(alpha - 2); at q = 1 its integral is up to 4e-6
+        # of the norm (n = 5, eps = 2^-10), at q >= 1.5 its q-th power is
+        # far below 1e-9 of it
+        c = abs((1 + beta) * alpha * (alpha - 1)) + (n - 1) * alpha
+        s = n + alpha - 2
+        noise = (2 * np.finfo(float).eps * c * n * unit_ball_volume(n)
+                 * (1 - eps ** s) / s) if q == 1 else 0.0
+        lu, _ = lab.sharpness_family(n, k, eps)
+        v = radial_lq_norm(lu, n, q, (0.0, 1.0))
+        assert abs(v - exact) <= 1e-9 * exact + noise
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -10])
+    def test_log_family_closed_form(self, n, eps):
+        # core Lu = (2n - 2)/eps^2 and log r is L-harmonic outside, so the
+        # L^{n/2} norm is (2n - 2) omega_n^{2/n} for every eps
+        lu = radial_apply(n, n - 2, mollified_power_profile(0.0, eps))
+        exact = (2 * n - 2) * unit_ball_volume(n) ** (2 / n)
+        assert np.isclose(radial_lq_norm(lu, n, n / 2, (0.0, 1.0)), exact,
+                          rtol=1e-9, atol=0)
+
+    def test_integrand_budget(self, monkeypatch):
+        # the tolerance applies to the whole integral, so the L-harmonic
+        # outer piece (rounding noise only) is not refined: 2 x 21 points
+        evals = []
+        orig = radial.quad
+
+        def counting_quad(func, *args, **kwargs):
+            def f(r):
+                evals.append(r)
+                return func(r)
+            return orig(f, *args, **kwargs)
+        monkeypatch.setattr(radial, "quad", counting_quad)
+        lu, _ = lab.sharpness_family(3, 2, 2.0 ** -10)
+        radial_lq_norm(lu, 3, 2.0, (0.0, 1.0))
+        assert 0 < len(evals) <= 200
 
 
 class TestPowerProfiles:

@@ -10,6 +10,12 @@ are handled by cut cells: the first lattice layer outside the interior
 carries Dirichlet data evaluated at the radial projection onto the sphere,
 which costs one order at the boundary.
 
+Coefficients and stencil weights live on interior nodes only, in row-major
+(np.flatnonzero) order.  solve_dirichlet finds each neighbour by flat-index
+arithmetic, position + offset . strides, in one index array, fills a
+fixed-width block of columns and values per row in ascending flat offset,
+and builds the CSR arrays (indptr, indices, data) directly.
+
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it cannot
 run (zero diagonal), does not converge, or leaves a relative residual above
@@ -31,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.ndimage import binary_dilation, binary_erosion
 from scipy.sparse.linalg import bicgstab, spsolve
 
 from .symcone import NumericError
@@ -125,8 +130,7 @@ class Grid:
                          for i in range(n)]
             r = self._radius_map()
             interior = r < domain.radius - h / 2
-            active = binary_dilation(interior, structure=np.ones((3,) * n,
-                                                                dtype=bool))
+            active = _cube_morph(interior, 1, grow=True)
         self.shape = interior.shape
         self.interior = interior
         self.boundary = active & ~interior
@@ -148,15 +152,18 @@ class Grid:
                            indexing="ij")
         return np.sqrt(sum(x ** 2 for x in mesh))
 
-    def points(self):
-        """Node coordinates, shape = grid shape + (n,)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+    def points(self, mask=None):
+        """Node coordinates, shape = grid shape + (n,); with a mask, those
+        of its nodes in row-major order, shape (count, n)."""
+        if mask is None:
+            return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        return np.stack([ax[i] for ax, i in zip(self.axes, np.nonzero(mask))],
+                        axis=-1)
 
     def boundary_points(self):
         """Representative boundary coordinates for each boundary node:
         the node itself on boxes, its radial projection on spheres."""
-        pts = self.points()[self.boundary]
+        pts = self.points(self.boundary)
         if self.domain.kind == "ball":
             rel = pts - self.domain.center
             r = np.linalg.norm(rel, axis=-1)
@@ -202,8 +209,10 @@ def boundary_field(grid, fn):
 
 @dataclass
 class CoeffField:
-    """Per-node coefficients: A (shape + (n, n), symmetric), optional b
-    (shape + (n,)) and c (shape)."""
+    """Coefficients on the nuk interior nodes only, in row-major order (that
+    of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric, optional b
+    (nuk, n) and c (nuk,).  The operator is elliptic only there, so nothing
+    is stored for the rest of the box."""
     grid: Grid
     A: np.ndarray
     b: np.ndarray | None = None
@@ -211,16 +220,25 @@ class CoeffField:
 
     def __post_init__(self):
         n = self.grid.dim
-        if self.A.shape != self.grid.shape + (n, n):
-            raise ValueError("coefficient matrix field has wrong shape")
+        nuk = int(np.count_nonzero(self.grid.interior))
+        if self.A.shape != (nuk, n, n):
+            raise ValueError(f"coefficient matrix field has shape "
+                             f"{self.A.shape}, need {(nuk, n, n)} (one "
+                             f"matrix per interior node)")
         if not np.allclose(self.A, np.swapaxes(self.A, -1, -2), atol=0.0):
             raise ValueError("coefficient matrices must be symmetric")
 
     def spectra(self, mask=None):
-        """Per-node eigenvalues (descending) over mask (default interior)."""
-        mask = self.grid.interior if mask is None else mask
-        lam = np.linalg.eigvalsh(self.A[mask])
-        return lam[:, ::-1]
+        """Per-node eigenvalues (descending) over mask (default interior),
+        which must lie in the interior."""
+        grid = self.grid
+        if mask is None:
+            A = self.A
+        elif np.any(mask & ~grid.interior):
+            raise ValueError("coefficients exist on interior nodes only")
+        else:
+            A = self.A[mask[grid.interior]]
+        return np.linalg.eigvalsh(A)[:, ::-1]
 
 
 def constant_coeff(A, b=None, c=None):
@@ -228,12 +246,13 @@ def constant_coeff(A, b=None, c=None):
     A = np.asarray(A, dtype=float)
 
     def build(grid):
-        full = np.broadcast_to(A, grid.shape + A.shape).copy()
+        nuk = int(np.count_nonzero(grid.interior))
+        AA = np.broadcast_to(A, (nuk,) + A.shape).copy()
         bb = (np.broadcast_to(np.asarray(b, dtype=float),
-                              grid.shape + (grid.dim,)).copy()
+                              (nuk, grid.dim)).copy()
               if b is not None else None)
-        cc = (np.full(grid.shape, float(c)) if c is not None else None)
-        return CoeffField(grid, full, bb, cc)
+        cc = (np.full(nuk, float(c)) if c is not None else None)
+        return CoeffField(grid, AA, bb, cc)
     return build
 
 
@@ -256,14 +275,14 @@ def coeff_gilbarg_serrin(n, alpha):
     def build(grid):
         if grid.dim != n:
             raise ValueError("grid dimension mismatch")
-        x = grid.points()
+        x = grid.points(grid.interior)
         r2 = np.sum(x ** 2, axis=-1)
-        safe = np.where(r2 > 0, r2, 1.0)
-        outer = x[..., :, None] * x[..., None, :] / safe[..., None, None]
-        A = np.broadcast_to(np.eye(n), grid.shape + (n, n)) + beta * outer
-        A = np.where((r2 > 0)[..., None, None], A,
-                     np.broadcast_to(np.eye(n), grid.shape + (n, n)))
-        return CoeffField(grid, np.ascontiguousarray(A))
+        A = x[:, :, None] * x[:, None, :]
+        A /= np.where(r2 > 0, r2, 1.0)[:, None, None]
+        A *= beta
+        A += np.eye(n)
+        A[~(r2 > 0)] = np.eye(n)
+        return CoeffField(grid, A)
     return build
 
 
@@ -283,6 +302,19 @@ def _shift(arr, offset, fill=0):
             src.append(slice(None))
             dst.append(slice(None))
     out[tuple(dst)] = arr[tuple(src)]
+    return out
+
+
+def _cube_morph(mask, layers, grow):
+    """mask dilated (grow) or eroded by layers 3^n cube layers, nodes off
+    the array counting as outside.  The cube is separable: a layer is one
+    pass of two unit shifts per axis."""
+    n = mask.ndim
+    op = np.logical_or if grow else np.logical_and
+    out = mask
+    for _ in range(layers):
+        for e in np.eye(n, dtype=int):
+            out = op(op(out, _shift(out, e)), _shift(out, -e))
     return out
 
 
@@ -324,36 +356,39 @@ def apply_L(u, coeff):
     rounding) on polynomials of degree <= 2.
     """
     grid = u.grid
+    interior = grid.interior
     H, _ = hessian_field(u)
-    out = np.einsum("...ij,...ij->...", coeff.A, H)
+    Lu = np.einsum("kij,kij->k", coeff.A, H[interior])
     if coeff.b is not None:
         for i, scale, terms in _difference_table(grid.dim)[1]:
-            out += coeff.b[..., i] * _difference(u.values, terms,
-                                                 scale * grid.h)
+            Lu += coeff.b[:, i] * _difference(u.values, terms,
+                                              scale * grid.h)[interior]
     if coeff.c is not None:
-        out += coeff.c * u.values
-    return ScalarField(grid, np.where(grid.interior, out, 0.0))
+        Lu += coeff.c * u.values[interior]
+    out = np.zeros(grid.shape)
+    out[interior] = Lu
+    return ScalarField(grid, out)
 
 
 def _stencil(coeff):
     """(offset, weight) pairs of the assembled L in _difference_table
-    order.  Per offset the A-weighted (b-weighted) coefficients over the
-    scale are summed and divided once by h^2 (h); the scales are powers of
-    two, so that division is exact.
+    order, one (nuk,) weight array per offset.  Per offset the A-weighted
+    (b-weighted) coefficients over the scale are summed and divided once by
+    h^2 (h); the scales are powers of two, so that division is exact.
     """
     n, h = coeff.grid.dim, coeff.grid.h
     second, first = _difference_table(n)
     acc = {}
     for i, j, scale, terms in second:
         # A : D^2 counts each off-diagonal pair twice
-        a = coeff.A[..., i, j] * ((1 if i == j else 2) / scale)
+        a = coeff.A[:, i, j] * ((1 if i == j else 2) / scale)
         for off, k in terms:
             t = a if k == 1 else k * a
             acc[off] = acc[off] + t if off in acc else t
     weights = {off: s / h ** 2 for off, s in acc.items()}
     if coeff.b is not None:
         for i, scale, terms in first:
-            beta = coeff.b[..., i] / scale
+            beta = coeff.b[:, i] / scale
             for off, k in terms:
                 weights[off] = weights[off] + k * beta / h
     if coeff.c is not None:
@@ -414,44 +449,65 @@ def solve_dirichlet(coeff, f, g):
     """
     t0 = time.perf_counter()
     grid = f.grid
-    interior = grid.interior
-    nuk = int(np.count_nonzero(interior))
-    index = -np.ones(grid.shape, dtype=np.int64)
-    index[interior] = np.arange(nuk)
-
-    rows, cols, vals = [], [], []
-    rhs = -f.values[interior].astype(float)
-    wrong_sign = np.zeros(nuk, dtype=bool)
-    for off, w in _stencil(coeff):
-        wi = np.broadcast_to(w, grid.shape)[interior]
-        if any(off):
-            wrong_sign |= wi < -1e-12
-        into = _shift(index, off, fill=-1)[interior]
-        onb = _shift(grid.boundary.astype(np.int8), off).astype(bool)[interior]
-        inner = into >= 0
-        rows.append(np.arange(nuk)[inner])
-        cols.append(into[inner])
-        vals.append(wi[inner])
-        if np.any(onb):
-            gn = _shift(g.values, off)[interior]
-            rhs[onb] -= (wi * gn)[onb]
-    n_wrong = int(np.count_nonzero(wrong_sign))
+    A, rhs, n_wrong = _assemble(coeff, f, g)
+    nuk = len(rhs)
     if n_wrong:
         warnings.warn(f"off-diagonal stencil weight with wrong sign at "
                       f"{n_wrong} of {nuk} interior nodes; the discrete "
                       f"maximum principle may fail",
                       MonotonicityWarning, stacklevel=2)
-
-    A = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nuk, nuk))
     sol, path, iterations, res = _solve_linear(A, rhs)
     log.debug("solve: path=%s unknowns=%d nnz=%d iterations=%d rel_res=%.2e "
               "elapsed=%.4f wrong_sign=%d", path, nuk, A.nnz, iterations, res,
               time.perf_counter() - t0, n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)
-    out[interior] = sol
+    out[grid.interior] = sol
     return ScalarField(grid, out)
+
+
+def _assemble(coeff, f, g):
+    """CSR matrix and right-hand side of the interior system of
+    solve_dirichlet, and the number of interior nodes with a wrong-sign
+    off-diagonal weight."""
+    grid = f.grid
+    interior = grid.interior
+    # Grid keeps every interior node off the faces of the box, so no
+    # neighbour p + offset . strides below wraps into another row
+    assert not any(interior.take(end, axis).any()
+                   for axis in range(grid.dim) for end in (0, -1))
+    pos = np.flatnonzero(interior)
+    nuk = pos.size
+    strides = np.cumprod((1,) + grid.shape[:0:-1])[::-1]    # row-major
+    index = np.full(interior.size, -1, dtype=np.int32)
+    index[pos] = np.arange(nuk, dtype=np.int32)
+    boundary = grid.boundary.ravel()
+    gflat = g.values.ravel()
+
+    stencil = _stencil(coeff)
+    flat = [int(np.dot(off, strides)) for off, _ in stencil]
+    # one column per offset, in ascending flat offset: the sorted column
+    # order of a canonical CSR row
+    cols = np.empty((nuk, len(stencil)), dtype=np.int32)
+    vals = np.empty((nuk, len(stencil)))
+    rhs = -f.values[interior].astype(float)
+    wrong_sign = np.zeros(nuk, dtype=bool)
+    for (off, w), d, slot in zip(stencil, flat, np.argsort(np.argsort(flat))):
+        if any(off):
+            wrong_sign |= w < -1e-12
+        nb = pos + d
+        cols[:, slot] = index[nb]
+        vals[:, slot] = w
+        onb = boundary[nb]
+        if np.any(onb):
+            rhs[onb] -= w[onb] * gflat[nb[onb]]
+    # neighbours on the boundary (column -1) leave the matrix; explicit
+    # zero weights stay
+    inner = cols >= 0
+    indptr = np.zeros(nuk + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(inner, axis=1), out=indptr[1:])
+    A = sparse.csr_matrix((vals[inner], cols[inner], indptr),
+                          shape=(nuk, nuk))
+    return A, rhs, int(np.count_nonzero(wrong_sign))
 
 
 def lq_norm(f, q, mask=None):
@@ -489,11 +545,8 @@ def hessian_field(u):
 
 
 def interior_eroded(grid, layers):
-    """Interior mask eroded by layers >= 1 cube layers (scipy reads
-    iterations < 1 as "erode until nothing changes")."""
-    return binary_erosion(grid.interior,
-                          structure=np.ones((3,) * grid.dim, dtype=bool),
-                          iterations=layers)
+    """Interior mask eroded by layers cube layers."""
+    return _cube_morph(grid.interior, layers, grow=False)
 
 
 def w22_seminorm(u, mask):

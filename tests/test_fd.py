@@ -1,9 +1,11 @@
 import contextlib
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage, sparse
 
 from conelab import fd
 from conelab.symcone import NumericError
@@ -83,7 +85,9 @@ class TestCoeff:
         coeff = fd.coeff_gilbarg_serrin(3, 0.0)(g)
         i = tuple(int(np.argmin(np.abs(g.axes[d] - (1.0 if d == 0 else 0.0))))
                   for d in range(3))
-        assert np.allclose(coeff.A[i], np.diag([2.0, 1.0, 1.0]))
+        # A holds the interior nodes in row-major order
+        k = [tuple(p) for p in np.argwhere(g.interior)].index(i)
+        assert np.allclose(coeff.A[k], np.diag([2.0, 1.0, 1.0]))
 
     def test_gs_trace(self):
         n, alpha = 3, 0.25
@@ -103,6 +107,48 @@ class TestCoeff:
         coeff = fd.coeff_gilbarg_serrin(n, alpha)(g)
         lam = coeff.spectra()
         assert np.allclose(lam, np.sort(gs_spectrum(n, alpha))[::-1])
+
+    def test_spectra_over_mask(self):
+        # rows of A follow the row-major order of the interior nodes
+        g = fd.build_grid(unit_ball(2), 0.2)
+        nodes = np.argwhere(g.interior)
+        A = np.stack([np.diag([1.0 + k, 0.5]) for k in range(len(nodes))])
+        coeff = fd.CoeffField(g, A)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[tuple(nodes[[7, 3]].T)] = True
+        assert np.array_equal(coeff.spectra(mask), [[4.0, 0.5], [8.0, 0.5]])
+        with pytest.raises(ValueError, match="interior"):
+            coeff.spectra(g.active)
+
+
+class TestCubeMorph:
+    """The separable 3^n cube against scipy.ndimage as the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("domain", [unit_ball, unit_box])
+    def test_matches_ndimage(self, n, domain):
+        cube = np.ones((3,) * n, dtype=bool)
+        g = fd.build_grid(domain(n), 1 / 4 if n == 4 else 1 / 6)
+        if domain is unit_ball:
+            assert np.array_equal(
+                g.active, ndimage.binary_dilation(g.interior, structure=cube))
+        # random masks reach the edges of the array
+        rng = np.random.default_rng(n)
+        masks = [g.interior] + [rng.random(g.shape) < p for p in (0.1, 0.9)]
+        for layers in (1, 2, 3):
+            assert np.array_equal(
+                fd.interior_eroded(g, layers),
+                ndimage.binary_erosion(g.interior, structure=cube,
+                                       iterations=layers))
+            for mask in masks:
+                assert np.array_equal(
+                    fd._cube_morph(mask, layers, grow=True),
+                    ndimage.binary_dilation(mask, structure=cube,
+                                            iterations=layers))
+                assert np.array_equal(
+                    fd._cube_morph(mask, layers, grow=False),
+                    ndimage.binary_erosion(mask, structure=cube,
+                                           iterations=layers))
 
 
 class TestApplyL:
@@ -351,6 +397,116 @@ class TestSolverPolicy:
             fd.solve_dirichlet(fd.identity_coeff()(g), f, bc)
 
 
+def _coo_reference(coeff, f, g):
+    """Reference assembly: full-box shifted copies of the index, boundary
+    mask and data per offset, a COO triple, then scipy's coo -> csr.
+    Returns (A, rhs, nodes with a wrong-sign off-diagonal weight)."""
+    grid = f.grid
+    interior = grid.interior
+    nuk = int(np.count_nonzero(interior))
+    index = -np.ones(grid.shape, dtype=np.int64)
+    index[interior] = np.arange(nuk)
+    rows, cols, vals = [], [], []
+    rhs = -f.values[interior].astype(float)
+    wrong_sign = np.zeros(nuk, dtype=bool)
+    for off, wi in fd._stencil(coeff):
+        if any(off):
+            wrong_sign |= wi < -1e-12
+        into = fd._shift(index, off, fill=-1)[interior]
+        onb = fd._shift(grid.boundary.astype(np.int8), off).astype(bool)
+        onb = onb[interior]
+        inner = into >= 0
+        rows.append(np.arange(nuk)[inner])
+        cols.append(into[inner])
+        vals.append(wi[inner])
+        if np.any(onb):
+            rhs[onb] -= (wi * fd._shift(g.values, off)[interior])[onb]
+    A = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nuk, nuk))
+    return A, rhs, int(np.count_nonzero(wrong_sign))
+
+
+def _solved_systems(monkeypatch):
+    """List that collects each (A, rhs) solve_dirichlet hands the solver."""
+    seen, solve = [], fd._solve_linear
+
+    def spy(A, rhs):
+        seen.append((A, rhs))
+        return solve(A, rhs)
+    monkeypatch.setattr(fd, "_solve_linear", spy)
+    return seen
+
+
+class TestAssemblyOracle:
+    """The flat-index assembly is bit-equal to the COO reference."""
+
+    @pytest.mark.parametrize("domain, h, builder, warns", [
+        # the anisotropic case whose cross stencil is not monotone
+        (unit_box(2), 1 / 8, fd.constant_coeff(
+            [[1.0, 0.2], [0.2, 1.5]], b=[1.0, -2.0], c=-3.0), True),
+        (3, 1 / 8, fd.coeff_gilbarg_serrin(3, 0.25), True),
+        (4, 1 / 5, fd.coeff_gilbarg_serrin(4, -0.3), True),
+        (fd.Domain.ball([0.3, -0.2, 0.1], 0.7), 1 / 10, fd.identity_coeff(),
+         False),
+    ])
+    def test_bit_equal(self, caplog, monkeypatch, domain, h, builder, warns):
+        g, f, bc = _policy_problem(domain, h)
+        assert np.any(bc.values[g.boundary] != 0)
+        coeff = builder(g)
+        seen = _solved_systems(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", fd.MonotonicityWarning)
+            _, recs = _solve_records(caplog, coeff, f, bc)
+        (A, rhs), = seen
+        ref, ref_rhs, ref_wrong = _coo_reference(coeff, f, bc)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(A, part).tobytes() == getattr(ref, part).tobytes()
+        assert rhs.tobytes() == ref_rhs.tobytes()
+        msg = recs[-1].getMessage()
+        assert f" nnz={ref.nnz} " in msg
+        assert msg.endswith(f" wrong_sign={ref_wrong}")
+        assert (ref_wrong > 0) == warns
+        assert sum(w.category is fd.MonotonicityWarning
+                   for w in caught) == warns
+
+
+class TestMemoryBudget:
+    """tracemalloc peaks on the n = 3 unit ball at h = 1/16 (15,408
+    unknowns).  Full-box coefficient arrays and per-offset full-box copies
+    peak at 12x the interior coefficient bytes and 5.9x the CSR bytes;
+    interior storage at 3.6x and 3.0x."""
+
+    def test_coeff_peak(self):
+        g = fd.build_grid(unit_ball(3), 1 / 16)
+        build = fd.coeff_gilbarg_serrin(3, 0.25)
+        tracemalloc.start()
+        try:
+            coeff = build(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = int(np.count_nonzero(g.interior)) * 3 * 3 * 8
+        assert peak <= 5 * result
+        assert coeff.A.nbytes == result
+
+    def test_solve_peak(self, monkeypatch):
+        g, f, bc = _policy_problem(3, 1 / 16)
+        coeff = fd.coeff_gilbarg_serrin(3, 0.25)(g)
+        seen = _solved_systems(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            tracemalloc.start()
+            try:
+                fd.solve_dirichlet(coeff, f, bc)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        (A, _), = seen
+        csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        assert peak <= 4.5 * csr
+
+
 class TestNorms:
     def test_constant_on_box(self):
         g = fd.build_grid(unit_box(2), 1 / 64)
@@ -475,7 +631,15 @@ class TestFieldValidation:
 
     def test_asymmetric_coeff_rejected(self):
         g = fd.build_grid(unit_box(2), 0.125)
+        nuk = int(np.count_nonzero(g.interior))
         A = np.broadcast_to(np.array([[1.0, 0.5], [0.1, 1.0]]),
-                            g.shape + (2, 2)).copy()
-        with pytest.raises(ValueError):
+                            (nuk, 2, 2)).copy()
+        with pytest.raises(ValueError, match="symmetric"):
+            fd.CoeffField(g, A)
+
+    def test_full_box_coeff_rejected(self):
+        # coefficients are stored on interior nodes only
+        g = fd.build_grid(unit_box(2), 0.125)
+        A = np.broadcast_to(np.eye(2), g.shape + (2, 2)).copy()
+        with pytest.raises(ValueError, match="interior node"):
             fd.CoeffField(g, A)

@@ -197,10 +197,10 @@ class TestRhoStarFieldOptimized:
         # mostly identity; two spectra outside G*_3 whose sorted order is
         # the reverse of their node order
         g = ball_grid(4, 0.25)
-        A = np.broadcast_to(np.eye(4), g.shape + (4, 4)).copy()
         nodes = np.argwhere(g.interior)
-        A[tuple(nodes[100])] = np.diag([1.0, 1.0, 1.0, -1.0])
-        A[tuple(nodes[300])] = np.diag([-2.0, 1.0, 1.0, 1.0])
+        A = np.broadcast_to(np.eye(4), (len(nodes), 4, 4)).copy()
+        A[100] = np.diag([1.0, 1.0, 1.0, -1.0])
+        A[300] = np.diag([-2.0, 1.0, 1.0, 1.0])
         coeff = fd.CoeffField(g, A)
         for i, row in enumerate(coeff.spectra(g.interior)):
             try:

@@ -225,8 +225,9 @@ class CoeffField:
             raise ValueError(f"coefficient matrix field has shape "
                              f"{self.A.shape}, need {(nuk, n, n)} (one "
                              f"matrix per interior node)")
-        if not np.allclose(self.A, np.swapaxes(self.A, -1, -2), atol=0.0):
-            raise ValueError("coefficient matrices must be symmetric")
+        if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
+            raise ValueError("coefficient matrices must be exactly "
+                             "symmetric")
 
     def spectra(self, mask=None):
         """Per-node eigenvalues (descending) over mask (default interior),

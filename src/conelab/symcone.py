@@ -2,7 +2,8 @@
 
 Implements the Garding cones G_k (S_1,...,S_k > 0), their closures and dual
 cones, the degree-1 normalizations rho_k = (S_k/C(n,k))^{1/k}, and the dual
-gauge rho*_k = inf { lam.mu / n : mu in G_k, rho_k(mu) >= 1 }.
+gauge rho*_k = inf { lam.mu / n : mu in G_k, rho_k(mu) >= 1 }: closed forms
+for k in {1, 2, n}, else damped Newton on the barrier -log S_k.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import fsolve, minimize
+from scipy.optimize import minimize
 
 MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-7
@@ -247,95 +248,93 @@ def rho_star_closed_form_2(lam):
     return float(np.sqrt(val / n))
 
 
-def _rho_star_newton(lam, k):
-    """Critical-point polish after the SLSQP minimum: solve
-    lam = c * grad S_k(mu), S_k(mu) = C(n,k).
+def _checked_margin(lam, k, scale):
+    """dual_margin(lam, k); raises ValueError when lam is outside G*_k."""
+    margin = dual_margin(lam, k)
+    if margin < -MEMBERSHIP_TOL * scale:
+        raise ValueError(f"spectrum not in dual cone G*_{k} "
+                         f"(margin {margin:.3e})")
+    return margin
 
-    Returns a candidate value or None; callers must validate against an
-    independently obtained bound (Newton can land on non-minimizing points).
+
+def _barrier_newton(a, k):
+    """Maximizer of log S_k over G_k on the slice a.mu = n, or None.
+
+    Damped Newton with KKT steps (Boyd-Vandenberghe, Convex Optimization,
+    sec. 10.2) on -log S_k, a self-concordant barrier of G_k (Guler, Math.
+    Oper. Res. 22, 1997).  None if sum(a) <= 0, if the KKT matrix is
+    singular, if a step is in the closed cone (lam is then not interior to
+    G*_k), at the step cap, or at a rounding floor above dec2 = 1e-12.
     """
-    n = lam.size
-    target = float(comb(n, k))
-
-    def eqs(z):
-        mu, c = z[:n], z[n]
-        e = elem_sym_table(mu)
-        out = np.empty(n + 1)
-        out[:n] = lam - c * _elem_sym_jac(mu, k, e)[-1]
-        out[n] = e[k] - target
-        return out
-
-    z0 = np.concatenate([np.ones(n), [lam.sum() / (n * k)]])
-    with np.errstate(all="ignore"):
-        z, info, ier, _ = fsolve(eqs, z0, full_output=True)
-    if ier != 1:
+    n = a.size
+    if a.sum() <= 0.0:
         return None
-    mu = z[:n]
-    e = elem_sym_table(mu)
-    if min(e[j] for j in range(1, k + 1)) < -1e-8:
-        return None
-    return float(lam @ mu / n)
-
-
-def _reject_dual(k, margin):
-    raise ValueError(f"spectrum not in dual cone G*_{k} "
-                     f"(margin {margin:.3e})")
+    mu = np.full(n, n / a.sum())
+    sk = elem_sym_table(mu)[k]
+    i = np.arange(n)
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, n] = kkt[n, :n] = a
+    for _ in range(100):
+        # mu without entries i and j: its S_{k-1} (i = j) is dS_k/dmu_i, its
+        # S_{k-2} (i != j) is d2S_k/dmu_i dmu_j
+        drop = np.broadcast_to(mu, (n, n, n)).copy()
+        drop[i, :, i] = drop[:, i, i] = 0.0
+        tab = elem_sym_table(drop)
+        g = tab[i, i, k - 1] / sk           # -gradient of -log S_k
+        kkt[:n, :n] = np.outer(g, g) - tab[..., k - 2] / sk
+        kkt[i, i] = g ** 2
+        try:
+            step = np.linalg.solve(kkt, np.append(g, 0.0))[:n]
+        except np.linalg.LinAlgError:
+            return None
+        dec2 = float(g @ step)              # squared Newton decrement
+        if dec2 <= 1e-20:
+            return mu
+        if np.all(elem_sym_table(step)[1:k + 1] >= 0.0):
+            return None                     # a recession direction
+        # t = 1/(1 + sqrt(dec2)) passes (sec. 9.6.4) and dec2 <= k, so
+        # failing ten halvings is the rounding floor
+        for t in 0.5 ** np.arange(10):
+            e = elem_sym_table(mu + t * step)
+            if (np.all(e[1:k + 1] > 0.0)
+                    and np.log(sk / e[k]) <= -0.25 * t * dec2):
+                break
+        else:
+            return mu if dec2 <= 1e-12 else None
+        mu, sk = mu + t * step, e[k]
+    return None
 
 
 def rho_star_program(lam, k):
-    """Dual gauge by direct minimization over {S_k >= C(n,k)}: the slice
-    meets every ray of G_k, so a negative minimum certifies a separating
-    direction (lam outside G*_k) and no membership precheck is needed.
+    """Dual gauge for 2 <= k <= n by barrier Newton (_barrier_newton).
 
-    Works for any 2 <= k <= n; the closed-form cases dispatch here too
-    when called directly, which is how the two routes are cross-checked.
+    With a = lam/|lam|, rho*_k(lam) = |lam| / sup { rho_k(mu) : mu in G_k,
+    a.mu = n }, attained at the maximizer.  Without one, dual_margin decides:
+    outside G*_k raises ValueError, on its boundary gives 0, inside
+    NumericError.  k = 2, n cross-check the closed forms; k = 1 raises.
     """
     lam = _check_spectrum(lam)
     n = lam.size
     k = _check_k(k, n)
+    if k == 1:
+        raise ValueError("rho_star_program needs k >= 2; rho*_1 is mean(lam)")
     scale = float(np.linalg.norm(lam))
     if scale == 0.0:
         return 0.0
-
-    tol = MEMBERSHIP_TOL * scale
-    lam_s = lam / scale
-    target = float(comb(n, k))
-    table = _iterate_table()
-    cons = _cone_constraints(k - 1, table) + [{
-        "type": "ineq",
-        "fun": lambda mu: table(mu)[k] - target,
-        "jac": lambda mu: _elem_sym_jac(mu, k, table(mu))[-1],
-    }]
-    box = 1e3
-    best = None
-    res = minimize(lambda mu: lam_s @ mu / n, np.full(n, 1.0),
-                   jac=lambda mu: lam_s / n,
-                   bounds=[(-box, box)] * n, constraints=cons,
-                   method="SLSQP",
-                   options={"maxiter": 300, "ftol": 1e-14})
-    if res.x is not None:
-        e = elem_sym_table(res.x)
-        if (e[k] >= target - 1e-6
-                and min(e[j] for j in range(1, k)) > -1e-8):
-            best = float(lam_s @ res.x / n)
-    if best is None:
-        margin = dual_margin(lam, k)
-        if margin < -tol:
-            _reject_dual(k, margin)
-        raise NumericError("rho*_k minimization did not converge")
-    if best < -MEMBERSHIP_TOL or np.max(np.abs(res.x)) > 0.99 * box:
-        _reject_dual(k, dual_margin(lam, k))
-    newton = _rho_star_newton(lam_s, k)
-    if newton is not None and 0.0 <= newton < best:
-        best = newton
-    return best * scale
+    a = lam / scale
+    mu = _barrier_newton(a, k)
+    if mu is not None:
+        return scale * float(a @ mu / n) / rho_k(mu, k)
+    if _checked_margin(lam, k, scale) < BOUNDARY_TOL * scale:
+        return 0.0
+    raise NumericError("rho*_k barrier Newton did not converge")
 
 
 def rho_star(lam, k):
     """Dual gauge rho*_k(lam); 0 on the boundary of G*_k.
 
-    Dispatches to closed forms for k in {1, 2, n}; otherwise minimizes the
-    linear objective over the convex slice {S_k >= C(n,k)} of the cone.
+    Dispatches to closed forms for k in {1, 2, n}; otherwise to
+    rho_star_program, damped Newton on the barrier -log S_k of G_k.
     """
     lam = _check_spectrum(lam)
     n = lam.size
@@ -344,11 +343,8 @@ def rho_star(lam, k):
     if scale == 0.0:
         return 0.0
 
-    tol = MEMBERSHIP_TOL * scale
     if k in (1, 2, n):
-        margin = dual_margin(lam, k)
-        if margin < -tol:
-            _reject_dual(k, margin)
+        margin = _checked_margin(lam, k, scale)
         if k == 1:
             val = float(lam.mean())
         elif k == n:

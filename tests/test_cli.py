@@ -74,6 +74,13 @@ class TestConeCommands:
                               "1,1,9", "--k", "2")
         assert code == 2
 
+    def test_rho_star_general_k_outside_dual_cone(self, capsys):
+        # dual margin -0.152: no value, whatever an optimizer might find
+        code, err = run_failing(capsys, "cone", "rho-star", "--lambda",
+                                "0.61114324,0.01124944,-0.15209698,"
+                                "0.83245446,0.7382765,0.96295027", "--k", "4")
+        assert code == 2 and "dual cone G*_4" in err
+
 
 class TestSolveCommand:
     def test_solve_writes_fields(self, capsys, tmp_path):

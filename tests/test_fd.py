@@ -637,6 +637,15 @@ class TestFieldValidation:
         with pytest.raises(ValueError, match="symmetric"):
             fd.CoeffField(g, A)
 
+    def test_coeff_one_ulp_from_symmetric_rejected(self):
+        # assembly reads one triangle, eigvalsh the other: they must agree
+        g = fd.build_grid(unit_box(2), 0.125)
+        nuk = int(np.count_nonzero(g.interior))
+        M = np.array([[1.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
+        A = np.broadcast_to(M, (nuk, 2, 2)).copy()
+        with pytest.raises(ValueError, match="symmetric"):
+            fd.CoeffField(g, A)
+
     def test_full_box_coeff_rejected(self):
         # coefficients are stored on interior nodes only
         g = fd.build_grid(unit_box(2), 0.125)

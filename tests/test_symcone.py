@@ -1,6 +1,7 @@
 """Cone-calculus unit and property tests."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -199,6 +200,66 @@ class TestRhoStar:
     def test_maclaurin_lower_bound_at_ones(self):
         # mean(mu) >= rho_k(mu) >= 1 on the feasible set forces value 1
         assert sc.rho_star(np.ones(4), 2) == pytest.approx(1.0, abs=1e-9)
+
+
+def gs_rho_star_exact(n, k, alpha):
+    """Reduced oracle for the gilbarg_serrin spectrum (1, ..., 1, L): the
+    minimizer is mu = (1, ..., 1, t*), whose S_k = A + B t* is linear in t*
+    with A = C(n-1, k), B = C(n-1, k-1); stationarity of
+    log((n-1) + L t) - log(A + B t)/k gives t* in closed form."""
+    L = (n - 1) / (1.0 - alpha)
+    A, B = comb(n - 1, k), comb(n - 1, k - 1)
+    t = (B * (n - 1) - L * k * A) / (L * B * (k - 1))
+    return ((n - 1) + L * t) / n / ((A + B * t) / comb(n, k)) ** (1.0 / k)
+
+
+# outside G*_4 (dual margin -0.152); a local optimizer can stop at a
+# feasible mu of value 3.2057 there, above the bound mean(lam) = 0.5007
+EXTERIOR_K4 = [0.61114324, 0.01124944, -0.15209698, 0.83245446, 0.7382765,
+               0.96295027]
+
+
+class TestRhoStarProgram:
+    @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (5, 4), (6, 4)])
+    @pytest.mark.parametrize("alpha", [-0.5, -0.2, 0.0, 0.1, 0.3])
+    def test_gilbarg_serrin_reduced_oracle(self, n, k, alpha):
+        want = gs_rho_star_exact(n, k, alpha)
+        got = sc.rho_star(sc.gs_spectrum(n, alpha), k)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_exterior_spectrum_rejected(self):
+        assert sc.dual_margin(np.array(EXTERIOR_K4), 4) < -0.1
+        with pytest.raises(ValueError, match="dual cone"):
+            sc.rho_star(EXTERIOR_K4, 4)
+
+    def test_values_below_mean(self):
+        # mu = (1, ..., 1) is feasible, so rho*_k(lam) <= mean(lam)
+        rng = np.random.default_rng(11)
+        values = 0
+        for _ in range(100):
+            n = int(rng.integers(4, 8))
+            k = int(rng.integers(3, n))
+            lam = rng.uniform(-0.2, 1.0, n)
+            try:
+                v = sc.rho_star(lam, k)
+            except (ValueError, sc.NumericError):
+                continue    # outside G*_k, or dual_margin's SLSQP failed
+            assert v <= lam.mean() * (1 + 1e-12)
+            values += 1
+        assert values >= 20
+
+    def test_no_slsqp_on_the_value_path(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize called")
+        monkeypatch.setattr(sc, "minimize", fail)
+        assert sc.rho_star(sc.gs_spectrum(5, 0.1), 3) == pytest.approx(
+            gs_rho_star_exact(5, 3, 0.1), rel=1e-12)
+        assert sc.rho_star(np.ones(6), 4) == pytest.approx(1.0, rel=1e-12)
+        assert sc.rho_star([1.0, 1.2, 0.9, 1.4, 1.1], 3) > 0.0
+
+    def test_k1_rejected(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            sc.rho_star_program([1.0, 2.0, 3.0], 1)
 
 
 class TestRhoStarOracle:

@@ -61,16 +61,17 @@ def cmd_cone(args):
 
 
 def cmd_solve(args):
-    cfg = serialize.load_json(args.config)
-    ecfg = lab.parse_config(cfg)
+    ecfg = lab.parse_for("solve", serialize.load_json(args.config),
+                         lab.LATTICE)
     if ecfg.domain is None:
         raise ValueError("solve needs a 'domain' in the config")
-    grid, coeff, f, u = lab._solve(ecfg, ecfg.h_ladder[0])
+    h = lab.one_spacing("solve", ecfg)
+    grid, coeff, f, u = lab._solve(ecfg, h)
     sup, inf, osc = fd.sup_inf_osc(u)
     os.makedirs(args.out, exist_ok=True)
     serialize.field_to_csv(u, os.path.join(args.out, "u.csv"))
     serialize.field_to_binary(u, os.path.join(args.out, "u.bin"))
-    _emit({"h": ecfg.h_ladder[0], "unknowns":
+    _emit({"h": h, "unknowns":
            int(np.count_nonzero(grid.interior)),
            "sup": sup, "inf": inf, "osc": osc,
            "out": args.out})

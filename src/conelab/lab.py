@@ -5,8 +5,8 @@ quadratures, fits slopes where asymptotics are claimed, and fills the
 ExperimentReport that run_one hands it; verdicts are pure functions of the
 stored numbers.  The config vocabulary is declared once: CONFIG_KEYS (each
 field), OPERATORS and SOURCES (each type, its params and its builder) and
-EXPERIMENTS (each experiment and the domains it runs on); parse_config and
-run_one reject whatever they do not declare.
+EXPERIMENTS (each experiment, the fields it reads and the domains it runs
+on); parse_config and run_one reject whatever they do not declare.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class ExperimentConfig:
     h_ladder: tuple = (1 / 8, 1 / 12, 1 / 16)
     operator: dict = field(default_factory=lambda: {"type": "identity"})
     f: dict = field(default_factory=lambda: {"type": "zero"})
-    seed: int = 0    # echoed in the report; no experiment draws from it
     eps_ladder: tuple = tuple(2.0 ** -j for j in range(3, 11))
     q_list: tuple = ()
     sigma_ladder: tuple = (0.25, 0.32, 0.40, 0.50, 0.60)
@@ -114,11 +113,13 @@ class ExperimentConfig:
     mode: str = "strict"
     q_rule_violation: bool = False
 
-    def to_dict(self):
-        """The JSON config that parses back to self; the domain and the
-        exponent-rule flag appear only when set."""
+    def to_dict(self, keys=None):
+        """The JSON config of the fields keys (default all) that parses back
+        to self; the domain and the exponent-rule flag appear only when
+        set."""
         d = {}
-        for key, (attr, _, dump) in CONFIG_KEYS.items():
+        for key in CONFIG_KEYS if keys is None else keys:
+            attr, _, dump = CONFIG_KEYS[key]
             value = getattr(self, attr)
             if value is not None and value is not False:
                 d[key] = dump(value)
@@ -159,7 +160,8 @@ def _ladder(value):
 
 def _unit_ladder(value):
     """A ladder inside (0, 1): eps is the core radius of a mollified
-    profile on the unit ball, and log_family divides by log eps."""
+    profile on the unit ball (log_family divides by log eps), sigma a
+    fraction of the domain's radius."""
     xs = _ladder(value)
     _require(max(xs) < 1, f"need values in (0, 1), got {value!r}")
     return xs
@@ -182,10 +184,9 @@ CONFIG_KEYS = {
     "h": ("h_ladder", _ladder, list),
     "operator": ("operator", _object, dict),
     "f": ("f", _object, dict),
-    "seed": ("seed", int, int),
     "eps_ladder": ("eps_ladder", _unit_ladder, list),
     "q_list": ("q_list", _numbers, list),
-    "sigma_ladder": ("sigma_ladder", _ladder, list),
+    "sigma_ladder": ("sigma_ladder", _unit_ladder, list),
     "sigma": ("sigma", float, float),
     "p": ("p", float, float),
     "mode": ("mode", str, str),
@@ -193,6 +194,9 @@ CONFIG_KEYS = {
 }
 _REQUIRED = {f.name for f in fields(ExperimentConfig)
              if f.default is MISSING and f.default_factory is MISSING}
+# the fields parse_config reads for every job, and those of a lattice solve
+COMMON = ("name", "n", "k", "q", "mode", "q_rule_violation")
+LATTICE = ("domain", "h", "operator", "f")
 
 
 # a param's number of axes, each of length n
@@ -233,7 +237,7 @@ OPERATORS = {
         lambda n, op: fd.constant_coeff(op["matrix"], op.get("b"),
                                         op.get("c")),
         required={"matrix": MATRIX}, optional={"b": VECTOR, "c": NUMBER},
-        spectrum=lambda n, op: symcone.spectrum_of(op["matrix"])),
+        spectrum=lambda n, op: np.linalg.eigvalsh(op["matrix"])[::-1]),
 }
 
 
@@ -296,7 +300,10 @@ def parse_config(d):
     n, k, q = cfg.n, cfg.k, cfg.q
     _require(n >= 2, f"field 'n': need n >= 2, got {n}")
     _require(1 <= k <= n, f"field 'k': need 1 <= k <= n, got {k}")
-    _require(q >= 1, f"field 'q': need q >= 1, got {q}")
+    for key, x in (("q", q), ("p", cfg.p)):
+        _require(x >= 1, f"field '{key}': need {key} >= 1, got {x}")
+    _require(0 < cfg.sigma < 1,
+             f"field 'sigma': need 0 < sigma < 1, got {cfg.sigma}")
     _require(cfg.mode in ("strict", "exploratory"),
              f"field 'mode': unknown mode {cfg.mode!r}")
     _require(cfg.domain is None or cfg.domain.dim == n,
@@ -322,6 +329,25 @@ def parse_config(d):
              f"{violation}")
     cfg.q_rule_violation = violation
     return cfg
+
+
+def parse_for(job, d, reads):
+    """parse_config(d) for a job that reads the COMMON fields and reads; a
+    ValueError names any other field of d."""
+    cfg = parse_config(d)
+    keys = COMMON + reads
+    for key in d:
+        _require(key in keys, f"field {key!r}: {job} does not read it; "
+                 f"choose from {sorted(keys)}")
+    return cfg
+
+
+def one_spacing(job, cfg):
+    """The config's grid spacing, for a job that solves at one; a
+    ValueError names 'h' when it is a ladder, the default one included."""
+    _require(len(cfg.h_ladder) == 1, f"field 'h': {job} solves at one "
+             f"spacing, got {list(cfg.h_ladder)}")
+    return cfg.h_ladder[0]
 
 
 def coeff_builder(cfg):
@@ -486,8 +512,7 @@ def exp_oscillation(cfg, rep):
     and require a > 0; for nonnegative solutions also record the
     Harnack-form ratio sup / (inf + rhs norm term)."""
     dom = cfg.domain
-    h = min(cfg.h_ladder)
-    grid, _, f, u = _solve(cfg, h)
+    grid, _, f, u = _solve(cfg, one_spacing("oscillation", cfg))
     rho0 = _rho0(cfg)
     r = np.linalg.norm(grid.points() - dom.center, axis=-1)
     oscs = []
@@ -563,15 +588,16 @@ def exp_w22(cfg, rep):
                                     0.0, 0.0, 0.0))
 
 
-# name -> (experiment, the domain kinds it runs on: the unit ball by
-# default; none for the radial experiments, which reject a domain)
+# name -> (experiment, the fields it reads beside COMMON, the domain kinds
+# it runs on: the unit ball by default; none for the radial experiments)
 EXPERIMENTS = {
-    "max_principle": (exp_max_principle, ("ball", "box")),
-    "sharpness": (exp_sharpness, ()),
-    "log_family": (exp_log_family, ()),
-    "local_max": (exp_local_max, ("ball",)),
-    "oscillation": (exp_oscillation, ("ball",)),
-    "w22": (exp_w22, ("ball",)),
+    "max_principle": (exp_max_principle, LATTICE, ("ball", "box")),
+    "sharpness": (exp_sharpness, ("eps_ladder", "q_list"), ()),
+    "log_family": (exp_log_family, ("eps_ladder",), ()),
+    "local_max": (exp_local_max, LATTICE + ("sigma", "p"), ("ball",)),
+    "oscillation": (exp_oscillation, LATTICE + ("sigma_ladder",),
+                    ("ball",)),
+    "w22": (exp_w22, LATTICE, ("ball",)),
 }
 
 # exit code of `conelab` for each error an experiment may raise
@@ -602,21 +628,20 @@ def write_report(rep, out_dir):
 
 def run_one(name, cfg_dict):
     """Run a single named experiment on a raw config dict; the report's
-    config echo carries the domain the experiment ran on."""
+    config echo holds the fields the experiment reads, among them the
+    domain it ran on."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {sorted(EXPERIMENTS)}")
-    cfg = parse_config(cfg_dict)
-    experiment, kinds = EXPERIMENTS[name]
+    experiment, reads, kinds = EXPERIMENTS[name]
+    cfg = parse_for(name, cfg_dict, reads)
     t0 = time.perf_counter()
-    if kinds and cfg.domain is None:
-        cfg = replace(cfg, domain=fd.Domain.ball(np.zeros(cfg.n), 1.0))
-    if cfg.domain is not None and cfg.domain.kind not in kinds:
-        takes = (f"runs on a {' or '.join(kinds)}" if kinds
-                 else "takes no domain")
-        raise ValueError(f"field 'domain': {name} {takes}, "
-                         f"got a {cfg.domain.kind}")
-    rep = ExperimentReport(cfg.name, cfg.to_dict())
+    if kinds:
+        if cfg.domain is None:
+            cfg = replace(cfg, domain=fd.Domain.ball(np.zeros(cfg.n), 1.0))
+        _require(cfg.domain.kind in kinds, f"field 'domain': {name} runs "
+                 f"on a {' or '.join(kinds)}, got a {cfg.domain.kind}")
+    rep = ExperimentReport(cfg.name, cfg.to_dict(COMMON + reads))
     experiment(cfg, rep)
     rep.wall_time = time.perf_counter() - t0
     return rep

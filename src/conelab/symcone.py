@@ -16,7 +16,6 @@ from scipy.optimize import minimize
 
 MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-7
-JACOBI_MAX_SWEEPS = 100     # spectrum_of raises after this many sweeps
 
 OPEN, CLOSED, DUAL = "open", "closed", "dual"
 
@@ -368,6 +367,8 @@ def rho_star_oracle(lam, k, samples, seed=0):
     lam = _check_spectrum(lam)
     n = lam.size
     k = _check_k(k, n)
+    if samples < 1:
+        raise ValueError(f"oracle samples: need N >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     lam_sorted = np.sort(lam)[::-1]
     cnk = comb(n, k)
@@ -444,38 +445,6 @@ def _check_symmetric(A):
     if not np.array_equal(A, A.T):
         raise ValueError("matrix must be exactly symmetric")
     return A
-
-
-def spectrum_of(A):
-    """Eigenvalues of a symmetric matrix, descending, by cyclic Jacobi
-    rotations (off-diagonal norm stop 1e-13 * ||A||).  Kept over eigvalsh,
-    whose last bits differ and would change the reports that use it."""
-    A = _check_symmetric(A).copy()
-    n = A.shape[0]
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= 1e-13 * norm:
-            return np.sort(np.diag(A))[::-1]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if A[p, q] == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * A[p, q])
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t ** 2 + 1.0)
-                s = t * c
-                R = np.eye(n)
-                R[p, p] = R[q, q] = c
-                R[p, q] = s
-                R[q, p] = -s
-                A = R.T @ A @ R
-    raise NumericError("Jacobi eigensolver did not converge")
 
 
 def gamma2_star_matrix_test(A):

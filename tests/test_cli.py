@@ -59,6 +59,11 @@ class TestConeCommands:
         d = json.loads(out)
         assert np.isclose(d["oracle"], d["rho_star"], rtol=5e-3)
 
+    def test_negative_oracle(self, capsys):
+        code, err = run_failing(capsys, "cone", "rho-star", "--lambda",
+                                "1,2,3", "--k", "2", "--oracle", "-5")
+        assert code == 2 and "oracle samples" in err
+
     def test_malformed_spectrum(self, capsys):
         code, _ = run_failing(capsys, "cone", "eval", "--lambda", "1,zebra",
                               "--k", "1")
@@ -116,6 +121,25 @@ class TestSolveCommand:
                          "--out", str(tmp_path / "sol")])
         assert code == 2
         assert "operator.b" in capsys.readouterr().err
+
+    SOLVE = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
+             "domain": {"kind": "ball", "center": [0, 0], "radius": 1.0}}
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        (["solve"], {**SOLVE, "sigma": 0.5}, "sigma"),
+        (["solve"], {**SOLVE, "seed": 0}, "seed"),
+        (["solve"], {**SOLVE, "h": [0.125, 0.0625]}, "h"),
+        (["solve"], {k: v for k, v in SOLVE.items() if k != "h"}, "h"),
+        (["exp", "sharpness"], {"n": 2, "k": 2, "q": 2.0, "h": 0.125}, "h"),
+    ], ids=["solve-sigma", "solve-seed", "solve-ladder", "solve-default-h",
+            "sharpness-h"])
+    def test_unread_field_exits_2(self, capsys, tmp_path, command, cfg, key):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, err = run_failing(capsys, *command, "--config", str(p),
+                                "--out", str(tmp_path / "out"))
+        assert code == 2 and f"'{key}'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"

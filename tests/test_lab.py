@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +138,12 @@ class TestConfigParsing:
         ({"operator": {"type": "constant", "matrix": [
             [1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
          "operator.matrix"),
+        ({"sigma": 0.0}, "field 'sigma'"),
+        ({"sigma": -0.5}, "field 'sigma'"),
+        ({"sigma": 1.0}, "field 'sigma'"),
+        ({"p": 0.5}, "field 'p'"),
+        ({"sigma_ladder": [0.25, 1.5]}, "sigma_ladder"),
+        ({"seed": 0}, "seed"),
     ])
     def test_misread_field_rejected(self, update, field):
         with pytest.raises(ValueError, match=field):
@@ -149,6 +157,16 @@ class TestConfigParsing:
 
 
 class TestConstantOperator:
+    def test_declared_spectrum_is_the_lattice_spectrum(self):
+        # _rho0 reads the declared spectrum, rho_star_field the lattice one
+        A = [[1.0, 0.2, 0.0], [0.2, 1.5, -0.1], [0.0, -0.1, 2.0]]
+        op = {"type": "constant", "matrix": A}
+        grid = fd.build_grid(fd.Domain.ball(np.zeros(3), 1.0), 0.25)
+        declared = lab.OPERATORS["constant"].spectrum(3, op)
+        lattice = lab.OPERATORS["constant"].build(3, op)(grid).spectra()
+        assert np.array_equal(lattice, np.broadcast_to(declared,
+                                                       lattice.shape))
+
     def test_drift_and_potential_reach_the_solve(self):
         A = [[1.0, 0.0], [0.0, 1.5]]
         b, c = [2.0, -1.0], -3.0
@@ -262,6 +280,83 @@ class TestOscillation:
         assert rep.passed
         assert all(r["osc"] <= 1e-12 for r in rep.runs)
 
+    @pytest.mark.parametrize("h", [{"h": [0.125, 0.0625]}, {}],
+                             ids=["ladder", "default"])
+    def test_one_spacing(self, h):
+        with pytest.raises(ValueError, match="field 'h'"):
+            lab.run_one("oscillation", {"n": 2, "k": 2, "q": 2.0, **h})
+
+
+# per experiment, a quick config that breaks the exponent rule, so that
+# the echo also carries q_rule_violation
+QUICK = {
+    "max_principle": {"n": 3, "k": 2, "q": 3.0, "h": 0.25},
+    "w22": {"n": 3, "k": 2, "q": 3.0, "h": 0.125},
+    "local_max": {"n": 3, "k": 2, "q": 3.0, "h": 0.25},
+    "oscillation": {"n": 3, "k": 2, "q": 3.0, "h": 0.25},
+    "sharpness": {"n": 3, "k": 2, "q": 1.5,
+                  "eps_ladder": [0.125, 0.0625, 0.03125]},
+    "log_family": {"n": 4, "k": 2, "q": 2.0,
+                   "eps_ladder": [0.125, 0.0625, 0.03125]},
+}
+
+
+class TestFieldsRead:
+    @pytest.mark.parametrize("name, field, value", [
+        ("max_principle", "sigma", 0.5),
+        ("w22", "eps_ladder", [0.5]),
+        ("local_max", "sigma_ladder", [0.5]),
+        ("oscillation", "p", 2.0),
+        ("sharpness", "h", 0.25),
+        ("log_family", "q_list", [2.0]),
+    ])
+    def test_unread_field_rejected(self, name, field, value):
+        cfg = {**QUICK[name], "mode": "exploratory", field: value}
+        with pytest.raises(ValueError, match=f"field '{field}': {name} "
+                                             f"does not read it"):
+            lab.run_one(name, cfg)
+
+    @pytest.mark.parametrize("name", sorted(lab.EXPERIMENTS))
+    def test_seed_rejected(self, name):
+        cfg = {**QUICK[name], "mode": "exploratory", "seed": 0}
+        with pytest.raises(ValueError, match="unknown config field 'seed'"):
+            lab.run_one(name, cfg)
+
+    @pytest.mark.parametrize("name", sorted(lab.EXPERIMENTS))
+    def test_echo_holds_the_fields_read(self, name):
+        rep = lab.run_one(name, {**QUICK[name], "mode": "exploratory"})
+        reads = lab.EXPERIMENTS[name][1]
+        assert sorted(rep.config_echo) == sorted(lab.COMMON + reads)
+        again = lab.run_one(name, rep.config_echo)
+        assert again.config_echo == rep.config_echo
+        assert again.runs == rep.runs
+
+
+def readme_config_table():
+    """field -> 'read by' cell of the README config table."""
+    text = (pathlib.Path(__file__).resolve().parents[1]
+            / "README.md").read_text()
+    head = "| field | default | read by | meaning |"
+    lines = text[text.index(head):].splitlines()[2:]
+    rows = [line.split(" | ") for line in
+            lines[:lines.index("")]]
+    return {re.fullmatch(r"\| `(\w+)`", row[0]).group(1): row[2]
+            for row in rows}
+
+
+def test_readme_config_table_matches_vocabulary():
+    table = readme_config_table()
+    assert sorted(table) == sorted(lab.CONFIG_KEYS)
+    for key, cell in table.items():
+        if key in lab.COMMON:
+            assert cell == "all", key
+            continue
+        readers = {name for name, (_, reads, _) in lab.EXPERIMENTS.items()
+                   if key in reads}
+        if key in lab.LATTICE:
+            readers.add("solve")
+        assert set(re.findall(r"`(\w+)`", cell)) == readers, key
+
 
 class TestRunSuite:
     def test_empty_battery(self, tmp_path):
@@ -343,7 +438,7 @@ class TestRunSuite:
     def test_deterministic_csv_output(self, tmp_path):
         battery = {"experiments": [
             {"exp": "sharpness", "name": "d", "n": 3, "k": 2, "q": 2.0,
-             "seed": 42, "mode": "exploratory",
+             "mode": "exploratory",
              "eps_ladder": [0.125, 0.0625, 0.03125], "q_list": [2.0]}]}
         lab.run_suite(battery, out_dir=str(tmp_path / "a"))
         lab.run_suite(battery, out_dir=str(tmp_path / "b"))

@@ -14,7 +14,10 @@ Coefficients and stencil weights live on interior nodes only, in row-major
 (np.flatnonzero) order.  solve_dirichlet finds each neighbour by flat-index
 arithmetic, position + offset . strides, in one index array, fills a
 fixed-width block of columns and values per row in ascending flat offset,
-and builds the CSR arrays (indptr, indices, data) directly.
+and builds the CSR arrays (indptr, indices, data) directly.  A coefficient
+builder maps (grid, spectrum=None) to a CoeffField; spectrum is the
+caller's declared pointwise spectrum of A, which the field keeps so that
+CoeffField.spectra runs no eigvalsh.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it cannot
@@ -212,11 +215,13 @@ class CoeffField:
     """Coefficients on the nuk interior nodes only, in row-major order (that
     of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric, optional b
     (nuk, n) and c (nuk,).  The operator is elliptic only there, so nothing
-    is stored for the rest of the box."""
+    is stored for the rest of the box.  spectrum, when the builder declares
+    one, is the eigenvalues of A at every interior node, kept descending."""
     grid: Grid
     A: np.ndarray
     b: np.ndarray | None = None
     c: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.grid.dim
@@ -228,17 +233,24 @@ class CoeffField:
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("coefficient matrices must be exactly "
                              "symmetric")
+        if self.spectrum is not None:
+            lam = np.sort(np.asarray(self.spectrum, dtype=float))[::-1]
+            if lam.shape != (n,):
+                raise ValueError(f"declared spectrum has shape {lam.shape}, "
+                                 f"need {(n,)}")
+            self.spectrum = lam
 
     def spectra(self, mask=None):
         """Per-node eigenvalues (descending) over mask (default interior),
-        which must lie in the interior."""
+        which must lie in the interior: the declared spectrum broadcast to
+        the mask's nodes when there is one, else eigvalsh per node."""
         grid = self.grid
-        if mask is None:
-            A = self.A
-        elif np.any(mask & ~grid.interior):
+        if mask is not None and np.any(mask & ~grid.interior):
             raise ValueError("coefficients exist on interior nodes only")
-        else:
-            A = self.A[mask[grid.interior]]
+        if self.spectrum is not None:
+            nodes = len(self.A) if mask is None else np.count_nonzero(mask)
+            return np.broadcast_to(self.spectrum, (nodes, grid.dim))
+        A = self.A if mask is None else self.A[mask[grid.interior]]
         return np.linalg.eigvalsh(A)[:, ::-1]
 
 
@@ -246,20 +258,20 @@ def constant_coeff(A, b=None, c=None):
     """Builder for a spatially constant coefficient field."""
     A = np.asarray(A, dtype=float)
 
-    def build(grid):
+    def build(grid, spectrum=None):
         nuk = int(np.count_nonzero(grid.interior))
         AA = np.broadcast_to(A, (nuk,) + A.shape).copy()
         bb = (np.broadcast_to(np.asarray(b, dtype=float),
                               (nuk, grid.dim)).copy()
               if b is not None else None)
         cc = (np.full(nuk, float(c)) if c is not None else None)
-        return CoeffField(grid, AA, bb, cc)
+        return CoeffField(grid, AA, bb, cc, spectrum)
     return build
 
 
 def identity_coeff():
-    def build(grid):
-        return constant_coeff(np.eye(grid.dim))(grid)
+    def build(grid, spectrum=None):
+        return constant_coeff(np.eye(grid.dim))(grid, spectrum)
     return build
 
 
@@ -267,13 +279,15 @@ def coeff_gilbarg_serrin(n, alpha):
     """Builder for A(x) = I + (-1 + (n-1)/(1-alpha)) x x^T / |x|^2.
 
     A(0) = I (the singularity is removable for all residual tests, which
-    stay away from the origin; ball grids never place a node there).
+    stay away from the origin; ball grids never place a node there).  A
+    lattice with a node at the origin therefore has no single spectrum,
+    and the field keeps no declared one.
     """
     if alpha >= 1:
         raise ValueError("alpha must be < 1")
     beta = -1.0 + (n - 1) / (1.0 - alpha)
 
-    def build(grid):
+    def build(grid, spectrum=None):
         if grid.dim != n:
             raise ValueError("grid dimension mismatch")
         x = grid.points(grid.interior)
@@ -282,8 +296,10 @@ def coeff_gilbarg_serrin(n, alpha):
         A /= np.where(r2 > 0, r2, 1.0)[:, None, None]
         A *= beta
         A += np.eye(n)
-        A[~(r2 > 0)] = np.eye(n)
-        return CoeffField(grid, A)
+        origin = ~(r2 > 0)
+        A[origin] = np.eye(n)
+        return CoeffField(grid, A, spectrum=None if origin.any()
+                          else spectrum)
     return build
 
 

@@ -351,8 +351,11 @@ def one_spacing(job, cfg):
 
 
 def coeff_builder(cfg):
-    """Builder (grid -> CoeffField) of the config's operator."""
-    return OPERATORS[cfg.operator["type"]].build(cfg.n, cfg.operator)
+    """Builder (grid -> CoeffField) of the config's operator; each field it
+    builds carries the operator's declared spectrum."""
+    kind, op = OPERATORS[cfg.operator["type"]], cfg.operator
+    build, spectrum = kind.build(cfg.n, op), kind.spectrum(cfg.n, op)
+    return lambda grid: build(grid, spectrum)
 
 
 def rhs_field(cfg, grid):
@@ -561,6 +564,9 @@ def exp_w22(cfg, rep):
         r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         # fixed inner subdomain so the ratio is comparable across h
         inner = fd.interior_eroded(grid, 2) & (r < 0.7 * cfg.domain.radius)
+        _require(np.any(inner), f"field 'h': spacing {h:g} leaves no node "
+                 f"two layers inside the boundary and within 0.7 R; "
+                 f"choose a finer one")
         num = fd.w22_seminorm(u, inner)
         rho = green.rho_star_field(coeff, 2, grid.interior)
         vals = np.zeros(grid.shape)

@@ -229,6 +229,18 @@ def battery_configs():
         cfgs.append({"exp": "max_principle", "name": f"pair{i:02d}",
                      "n": 3, "k": k, "q": float(k), "domain": ball,
                      "h": base_h, "operator": op, "f": f})
+    # 2 < k < n: rho*_k from the optimizer, once per lattice
+    for n, k, alpha, h, f in (
+            (4, 3, -0.3, [1 / 4, 1 / 6],
+             {"type": "gaussian", "params": {"amp": 3.0, "width": 0.5}}),
+            (5, 4, 0.25, [1 / 4],
+             {"type": "constant", "params": {"value": 4.0}})):
+        cfgs.append({"exp": "max_principle", "name": f"gs_n{n}_k{k}",
+                     "n": n, "k": k, "q": float(k),
+                     "domain": {"kind": "ball", "center": [0.0] * n,
+                                "radius": 1.0},
+                     "h": h, "operator": {"type": "gilbarg_serrin",
+                                          "alpha": alpha}, "f": f})
     return cfgs
 
 

@@ -300,8 +300,8 @@ class TestLogEnvironment:
                          loud.err)
         assert ("DEBUG conelab.green: rho_star_field: k=3 path=optimized "
                 "nodes=") in loud.err
-        assert re.search(r"distinct=1 calls=1 elapsed=\d+\.\d{4}\n",
-                         loud.err)
+        assert re.search(r"distinct=1 calls=1 elapsed=\d+\.\d{4} "
+                         r"spectrum=declared\n", loud.err)
         assert loud.out == quiet.out
         assert logged_files == files and "report.json" in files
         assert logger.handlers == handlers and logger.level == level

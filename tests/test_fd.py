@@ -120,6 +120,23 @@ class TestCoeff:
         with pytest.raises(ValueError, match="interior"):
             coeff.spectra(g.active)
 
+    def test_declared_spectrum_broadcast_without_eigvalsh(self, monkeypatch):
+        g = fd.build_grid(unit_ball(3), 0.25)
+        coeff = fd.coeff_gilbarg_serrin(3, 0.5)(g, [1.0, 1.0, 4.0])
+        assert np.array_equal(coeff.spectrum, [4.0, 1.0, 1.0])
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        mask = fd.interior_eroded(g, 1)
+        lam = coeff.spectra(mask)
+        assert lam.shape == (np.count_nonzero(mask), 3)
+        assert np.all(lam == coeff.spectrum)
+        with pytest.raises(ValueError, match="interior"):
+            coeff.spectra(g.active)
+
+    def test_declared_spectrum_shape_checked(self):
+        g = fd.build_grid(unit_ball(3), 0.25)
+        with pytest.raises(ValueError, match="declared spectrum"):
+            fd.identity_coeff()(g, np.ones(2))
+
 
 class TestCubeMorph:
     """The separable 3^n cube against scipy.ndimage as the oracle."""

@@ -1,3 +1,4 @@
+import logging
 import re
 from math import comb
 
@@ -164,6 +165,37 @@ class TestRhoStarField:
         coeff = fd.constant_coeff(A)(g)
         vals = rho_star_field(coeff, 3, g.interior)
         assert np.allclose(vals, 2.0, rtol=1e-12)
+
+
+class TestRhoStarFieldDeclared:
+    """A declared spectrum is evaluated once; on a constant operator its
+    bits are the eigvalsh rows, so every path gives the lattice values."""
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3)])
+    def test_matches_lattice_path(self, n, k, caplog):
+        g = ball_grid(n, 0.25)
+        A = np.eye(n) * 2.0
+        A[0, 1] = A[1, 0] = 0.1
+        A[-1, -1] = 1.5
+        build = fd.constant_coeff(A)
+        with caplog.at_level(logging.DEBUG, "conelab.green"):
+            lattice = rho_star_field(build(g), k, g.interior)
+            declared = rho_star_field(
+                build(g, np.linalg.eigvalsh(A)[::-1]), k, g.interior)
+        assert np.array_equal(declared, lattice)
+        lattice_rec, declared_rec = caplog.messages
+        assert "spectrum=lattice" in lattice_rec
+        assert re.search(r"nodes=\d+ distinct=1 calls=%d elapsed=\S+ "
+                         r"spectrum=declared$" % (k not in (2, n)),
+                         declared_rec)
+
+    def test_outside_dual_cone_names_first_node(self):
+        g = ball_grid(3, 0.25)
+        A = np.diag([1.0, 1.0, 5.0])
+        coeff = fd.constant_coeff(A)(g, np.diag(A))
+        node = tuple(np.argwhere(g.interior)[0])
+        with pytest.raises(ValueError, match=re.escape(f"node {node}")):
+            rho_star_field(coeff, 2, g.interior)
 
 
 class TestRhoStarFieldOptimized:

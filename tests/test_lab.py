@@ -186,6 +186,59 @@ class TestConstantOperator:
         assert diff > 0.01 * np.max(np.abs(u_plain.values))
 
 
+class TestDeclaredSpectrum:
+    """coeff_builder attaches OPERATORS[type].spectrum to every field it
+    builds; per-node eigvalsh stays the oracle."""
+
+    @pytest.mark.parametrize("n, op", [
+        (3, {"type": "identity"}),
+        (3, {"type": "constant", "matrix": [
+            [1.0, 0.2, -0.3], [0.2, 1.5, -0.1], [-0.3, -0.1, 2.0]]}),
+    ] + [(n, {"type": "gilbarg_serrin", "alpha": alpha})
+         for n in (3, 4, 5) for alpha in (-0.3, 0.25)],
+        ids=lambda v: (f"{v['type']}{v.get('alpha', '')}"
+                       if isinstance(v, dict) else f"n{v}"))
+    def test_declared_spectrum_matches_eigvalsh(self, n, op):
+        cfg = lab.parse_config({"n": n, "k": n, "q": float(n), "h": 0.25,
+                                "operator": op})
+        grid = fd.build_grid(fd.Domain.ball(np.zeros(n), 1.0), 0.25)
+        coeff = lab.coeff_builder(cfg)(grid)
+        assert coeff.spectrum is not None
+        lattice = np.linalg.eigvalsh(coeff.A)[:, ::-1]
+        ulp = np.spacing(np.abs(coeff.spectrum).max())
+        assert np.abs(lattice - coeff.spectrum).max() <= 8 * ulp
+        assert np.array_equal(coeff.spectra(), np.broadcast_to(
+            coeff.spectrum, lattice.shape))
+
+    def test_one_optimizer_call_per_lattice(self, monkeypatch):
+        from conelab import green, symcone
+        cfg = lab.parse_config({"n": 4, "k": 3, "q": 3.0, "operator": {
+            "type": "gilbarg_serrin", "alpha": -0.3}})
+        grid = fd.build_grid(fd.Domain.ball(np.zeros(4), 1.0), 0.25)
+        coeff = lab.coeff_builder(cfg)(grid)
+        calls, real = [], symcone.rho_star
+
+        def counted(lam, k):
+            calls.append(lam)
+            return real(lam, k)
+
+        monkeypatch.setattr(symcone, "rho_star", counted)
+        vals = green.rho_star_field(coeff, 3, grid.interior)
+        assert len(calls) == 1 and len(vals) == 704
+        assert np.all(vals == real(coeff.spectrum, 3))
+
+    def test_origin_node_keeps_the_lattice_spectrum(self):
+        # A(0) = I on a lattice through the origin: no single spectrum
+        cfg = lab.parse_config({"n": 3, "k": 2, "q": 2.0, "operator": {
+            "type": "gilbarg_serrin", "alpha": 0.25}})
+        box = fd.Domain.box([-1.0] * 3, [1.0] * 3)
+        grid = fd.build_grid(box, 0.25)
+        coeff = lab.coeff_builder(cfg)(grid)
+        assert coeff.spectrum is None
+        origin = np.all(grid.points(grid.interior) == 0.0, axis=1)
+        assert np.array_equal(coeff.spectra()[origin], [np.ones(3)])
+
+
 class TestSlopeFitting:
     def test_exact_power_law(self):
         xs = 2.0 ** -np.arange(3, 11)
@@ -285,6 +338,16 @@ class TestOscillation:
     def test_one_spacing(self, h):
         with pytest.raises(ValueError, match="field 'h'"):
             lab.run_one("oscillation", {"n": 2, "k": 2, "q": 2.0, **h})
+
+
+class TestW22:
+    @pytest.mark.parametrize("h", [0.25, [0.125, 0.25]],
+                             ids=["coarse", "coarse-in-ladder"])
+    def test_coarse_spacing_names_h(self, h):
+        with pytest.raises(ValueError, match="field 'h': spacing 0.25 "
+                                             "leaves no node") as exc:
+            lab.run_one("w22", {"n": 3, "k": 2, "q": 2.0, "h": h})
+        assert lab.error_exit_code(exc.value) == 2
 
 
 # per experiment, a quick config that breaks the exponent rule, so that

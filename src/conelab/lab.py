@@ -7,12 +7,28 @@ stored numbers.  The config vocabulary is declared once: CONFIG_KEYS (each
 field), OPERATORS and SOURCES (each type, its params and its builder) and
 EXPERIMENTS (each experiment, the fields it reads and the domains it runs
 on); parse_config and run_one reject whatever they do not declare.
+
+A lattice experiment, `conelab solve` and every run_suite job get their
+solution from _solve, which keeps the last SOLVE_CACHE_SIZE solutions of
+the process.  A solution is keyed by what defines its Dirichlet problem
+(the domain, h, the operator and the source, as canonical JSON), not by the
+fields only the analysis reads (k, q, p, sigma, ...), so experiments on one
+problem share one solve.  Only calls in one process share: a library
+caller or one `conelab suite` battery, e.g. local_max at several p on one
+problem; separate `conelab` commands share nothing.  The cache holds the
+grid and u with their arrays read-only; a hit rebuilds the coefficients
+and the source on the cached grid.  A solve that raises is not cached,
+and a hit emits no MonotonicityWarning again.
 """
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -20,6 +36,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import fd, green, radial, serialize, symcone
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -363,12 +381,52 @@ def rhs_field(cfg, grid):
     return SOURCES[cfg.f["type"]].build(grid, cfg.f.get("params", {}))
 
 
+# solutions _solve keeps, least recently used first: a three-rung ladder
+# plus one more problem
+SOLVE_CACHE_SIZE = 4
+_solved = OrderedDict()     # problem key -> (grid, u)
+_solved_lock = threading.Lock()
+
+
+def clear_solve_cache():
+    with _solved_lock:
+        _solved.clear()
+
+
+def _problem_key(cfg, h):
+    """The Dirichlet problem of cfg at spacing h as canonical JSON; a
+    param given as a numpy value counts as its list."""
+    return json.dumps([cfg.domain.to_dict(), float(h), cfg.operator, cfg.f],
+                      sort_keys=True, default=lambda v: np.asarray(v).tolist())
+
+
 def _solve(cfg, h):
-    grid = fd.build_grid(cfg.domain, h)
+    """(grid, coeff, f, u) of Lu = -f with zero boundary data at spacing
+    h.  The grid and u of a problem solved before come from the cache."""
+    key = _problem_key(cfg, h)
+    with _solved_lock:
+        cached = _solved.get(key)
+        if cached is not None:
+            _solved.move_to_end(key)
+    if cached is not None:
+        grid, u = cached
+    else:
+        grid = fd.build_grid(cfg.domain, h)
     coeff = coeff_builder(cfg)(grid)
     f = rhs_field(cfg, grid)
-    g = fd.boundary_field(grid, lambda x: np.zeros(x.shape[:-1]))
-    u = fd.solve_dirichlet(coeff, f, g)
+    if cached is None:
+        u = fd.solve_dirichlet(coeff, f,
+                               fd.ScalarField(grid, np.zeros(grid.shape)))
+        for arr in (u.values, grid.interior, grid.boundary, grid.active,
+                    *grid.axes):
+            arr.flags.writeable = False
+        with _solved_lock:
+            _solved[key] = grid, u
+            while len(_solved) > SOLVE_CACHE_SIZE:
+                _solved.popitem(last=False)
+    log.debug("solve: cache=%s h=%g unknowns=%d",
+              "miss" if cached is None else "hit", h,
+              np.count_nonzero(grid.interior))
     return grid, coeff, f, u
 
 
@@ -558,15 +616,19 @@ def exp_w22(cfg, rep):
     ||D^2 u||_{L^2(inner)} / ||f/rho*_2||_{L^2} must be h-stable."""
     if cfg.n != 3 or cfg.k != 2:
         raise ValueError("w22 experiment requires n = 3, k = 2")
-    ratios = []
+    inners = []     # every rung is checked before any solve
     for h in cfg.h_ladder:
-        grid, coeff, f, u = _solve(cfg, h)
+        grid = fd.build_grid(cfg.domain, h)
         r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         # fixed inner subdomain so the ratio is comparable across h
         inner = fd.interior_eroded(grid, 2) & (r < 0.7 * cfg.domain.radius)
         _require(np.any(inner), f"field 'h': spacing {h:g} leaves no node "
                  f"two layers inside the boundary and within 0.7 R; "
                  f"choose a finer one")
+        inners.append(inner)
+    ratios = []
+    for h, inner in zip(cfg.h_ladder, inners):
+        grid, coeff, f, u = _solve(cfg, h)
         num = fd.w22_seminorm(u, inner)
         rho = green.rho_star_field(coeff, 2, grid.interior)
         vals = np.zeros(grid.shape)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import conelab
-from conelab import cli, fd, serialize
+from conelab import cli, fd, lab, serialize
 from conelab.symcone import NumericError
 
 
@@ -293,8 +293,12 @@ class TestLogEnvironment:
         assert code == 0
         assert "conelab." not in quiet.err
         monkeypatch.setenv("CONELAB_LOG", "debug")
+        # the same problem again would be a cache hit with no fd record
+        lab.clear_solve_cache()
         code, loud, logged_files = self._exp(capsys, tmp_path, "debug")
         assert code == 0
+        assert re.search(r"DEBUG conelab.lab: solve: cache=miss h=0.25 "
+                         r"unknowns=\d+\n", loud.err)
         assert "DEBUG conelab.fd: solve: path=bicgstab" in loud.err
         assert re.search(r"rel_res=\S+ elapsed=\d+\.\d{4} wrong_sign=\d+\n",
                          loud.err)

@@ -1,11 +1,16 @@
 import json
 import pathlib
 import re
+import sys
+import threading
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conelab import fd, lab
+from conelab.symcone import NumericError
 
 
 def ball_dict(n, r=1.0):
@@ -348,6 +353,209 @@ class TestW22:
                                              "leaves no node") as exc:
             lab.run_one("w22", {"n": 3, "k": 2, "q": 2.0, "h": h})
         assert lab.error_exit_code(exc.value) == 2
+
+    def test_coarse_spacing_rejected_before_any_solve(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match="field 'h': spacing 0.25"):
+            lab.run_one("w22", {"n": 3, "k": 2, "q": 2.0,
+                                "h": [0.125, 0.25]})
+        assert calls == []
+
+
+def count_solves(monkeypatch, fail_first=False):
+    """The spacing of each fd.solve_dirichlet call from now on; with
+    fail_first, the first call raises NumericError."""
+    calls, solve = [], fd.solve_dirichlet
+
+    def spy(coeff, f, g):
+        calls.append(f.grid.h)
+        if fail_first and len(calls) == 1:
+            raise NumericError("solve residual too large: 1.00e-02")
+        return solve(coeff, f, g)
+    monkeypatch.setattr(fd, "solve_dirichlet", spy)
+    return calls
+
+
+def written(rep, out_dir):
+    """{file name: bytes} of the files write_report leaves for rep."""
+    lab.write_report(rep, str(out_dir))
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+# one problem: n = 3, the gilbarg_serrin operator and a gaussian source,
+# read by experiments that differ in everything else
+PROBLEM = {"n": 3, "k": 2, "q": 2.0, "domain": ball_dict(3),
+           "operator": {"type": "gilbarg_serrin", "alpha": -0.3},
+           "f": {"type": "gaussian", "params": {"amp": 2.0, "width": 0.4}}}
+# a small problem at h = 0.25 whose key fields the tests below vary
+SMALL = {"n": 2, "k": 2, "q": 2.0, "mode": "exploratory",
+         "domain": ball_dict(2),
+         "operator": {"type": "constant", "matrix": [[1.0, 0.0],
+                                                     [0.0, 2.0]]},
+         "f": {"type": "constant", "params": {"value": 1.0}}}
+
+
+class TestSolveCache:
+    @pytest.mark.filterwarnings("ignore::conelab.fd.MonotonicityWarning")
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 12], ids=["h8", "h12"])
+    def test_one_solve_per_problem(self, monkeypatch, tmp_path, h):
+        cfg = {**PROBLEM, "h": [h]}
+        calls = count_solves(monkeypatch)
+        warm = {exp: written(lab.run_one(exp, cfg), tmp_path / "warm" / exp)
+                for exp in ("oscillation", "max_principle")}
+        assert calls == [h]
+        for exp, files in warm.items():
+            lab.clear_solve_cache()
+            cold = written(lab.run_one(exp, cfg), tmp_path / "cold" / exp)
+            assert cold == files and "report.json" in files
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("change, hit", [
+        ({"domain": ball_dict(2, 0.9)}, False),
+        ({"h": 0.2}, False),
+        ({"operator": {"type": "constant",
+                       "matrix": [[1.0, 0.0], [0.0, 2.5]]}}, False),
+        ({"operator": {"type": "constant",
+                       "matrix": [[1.0, 0.0], [0.0, 2.0]], "c": -1.0}},
+         False),
+        ({"f": {"type": "constant", "params": {"value": 2.0}}}, False),
+        ({"k": 1}, True),
+        ({"q": 3.0}, True),
+        ({"p": 3.0}, True),
+        ({"sigma": 0.3}, True),
+        ({"sigma_ladder": [0.3, 0.6]}, True),
+        ({"name": "other"}, True),
+        ({"mode": "strict"}, True),
+    ], ids=lambda v: v if isinstance(v, bool) else "-".join(v))
+    def test_key_is_the_dirichlet_problem(self, monkeypatch, caplog, change,
+                                          hit):
+        def solve(d):
+            cfg = lab.parse_config(d)
+            return lab._solve(cfg, cfg.h_ladder[0])
+        base = {**SMALL, "h": 0.25}
+        _, _, _, u = solve(base)
+        calls = count_solves(monkeypatch)
+        with caplog.at_level("DEBUG", logger="conelab.lab"):
+            grid, _, _, u2 = solve({**base, **change})
+        assert len(calls) == (not hit)
+        assert (u2 is u) == hit
+        (rec,) = [r for r in caplog.records if r.name == "conelab.lab"]
+        assert rec.getMessage() == (
+            f"solve: cache={'hit' if hit else 'miss'} h={grid.h:g} "
+            f"unknowns={np.count_nonzero(grid.interior)}")
+
+    def test_numpy_param_keys_as_its_list(self):
+        cfg = lab.parse_config(SMALL)
+        arrays = replace(cfg, operator={"type": "constant",
+                                        "matrix": np.diag([1.0, 2.0])})
+        assert lab._problem_key(arrays, 0.25) == lab._problem_key(cfg, 0.25)
+
+    def test_hit_rebuilds_coefficients_and_source(self):
+        cfg = lab.parse_config({**SMALL, "h": 0.25})
+        grid, coeff, f, u = lab._solve(cfg, 0.25)
+        grid2, coeff2, f2, u2 = lab._solve(cfg, 0.25)
+        assert grid2 is grid and u2 is u
+        assert coeff2 is not coeff and f2 is not f
+        assert np.array_equal(coeff2.A, coeff.A)
+        assert np.array_equal(f2.values, f.values)
+
+    @pytest.mark.parametrize("name", ["values", "interior", "boundary",
+                                      "active", "axes"])
+    def test_cached_arrays_read_only(self, name):
+        cfg = lab.parse_config({**SMALL, "h": 0.25})
+        grid, _, _, u = lab._solve(cfg, 0.25)
+        arr = u.values if name == "values" else getattr(grid, name)
+        arr = arr[0] if name == "axes" else arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+    def test_least_recently_used_evicted(self, monkeypatch):
+        cfg = lab.parse_config(SMALL)
+        hs = [0.25, 0.2, 1 / 6, 1 / 7, 1 / 8]
+        assert len(hs) == lab.SOLVE_CACHE_SIZE + 1
+        calls = count_solves(monkeypatch)
+        for h in hs + [hs[-1]]:
+            lab._solve(cfg, h)
+        assert len(calls) == 5
+        lab._solve(cfg, hs[0])      # evicted by the fifth problem
+        assert len(calls) == 6
+        # a hit makes hs[2] the most recent, so a new problem evicts hs[3]
+        lab._solve(cfg, hs[2])
+        lab._solve(cfg, 1 / 9)
+        lab._solve(cfg, hs[2])
+        assert len(calls) == 7
+        lab._solve(cfg, hs[3])
+        assert len(calls) == 8
+
+    def test_raising_solve_not_cached(self, monkeypatch):
+        cfg = lab.parse_config({**SMALL, "h": 0.25})
+        calls = count_solves(monkeypatch, fail_first=True)
+        with pytest.raises(NumericError):
+            lab._solve(cfg, 0.25)
+        lab._solve(cfg, 0.25)
+        lab._solve(cfg, 0.25)
+        assert len(calls) == 2
+
+    def test_concurrent_solves(self):
+        # more threads than cores and more problems than cache slots, with
+        # frequent thread switches: every caller of a problem gets its
+        # solution and the cache never outgrows its bound
+        cfg = lab.parse_config(SMALL)
+        hs = [0.25, 0.2, 1 / 6, 1 / 7, 1 / 8, 1 / 9]
+        ref = {h: lab._solve(cfg, h)[3].values for h in hs}
+        lab.clear_solve_cache()
+        errors, sizes = [], []
+
+        def work(i):
+            try:
+                for j in range(12):
+                    h = hs[(i + j) % len(hs)]
+                    assert np.array_equal(lab._solve(cfg, h)[3].values,
+                                          ref[h])
+                    sizes.append(len(lab._solved))
+            except Exception as exc:    # reported by the main thread
+                errors.append(exc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sizes) == 8 * 12
+        assert max(sizes) <= lab.SOLVE_CACHE_SIZE
+
+    def test_hit_emits_no_warning_again(self):
+        # the cross stencil has wrong-sign weights for this matrix
+        cfg = lab.parse_config({**SMALL, "h": 0.125, "operator": {
+            "type": "constant", "matrix": [[1.0, 0.2], [0.2, 1.5]]}})
+        with pytest.warns(fd.MonotonicityWarning):
+            lab._solve(cfg, 0.125)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", fd.MonotonicityWarning)
+            lab._solve(cfg, 0.125)
+
+    @pytest.mark.filterwarnings("ignore::conelab.fd.MonotonicityWarning")
+    def test_suite_on_one_problem_matches_run_one(self, tmp_path):
+        jobs = [{**PROBLEM, "h": [1 / 8], "exp": exp, "name": exp}
+                for exp in ("oscillation", "max_principle")]
+        reports, code = lab.run_suite({"experiments": jobs},
+                                      out_dir=str(tmp_path / "suite"))
+        assert code == 0
+        for rep, job in zip(reports, jobs):
+            lab.clear_solve_cache()
+            cfg = {key: v for key, v in job.items() if key != "exp"}
+            alone = written(lab.run_one(job["exp"], cfg),
+                            tmp_path / "alone" / rep.name)
+            suite = tmp_path / "suite" / rep.name
+            assert alone == {p.name: p.read_bytes()
+                             for p in sorted(suite.iterdir())}
 
 
 # per experiment, a quick config that breaks the exponent rule, so that

@@ -4,20 +4,24 @@ Operators have the form Lu = a^{ij} D_ij u + b^i D_i u + c u on box or ball
 domains, discretized with second-order central differences (four-point cross
 stencil for the mixed terms), written down once in _difference_table: each
 D_ij and D_i is a scale and a list of (lattice offset, integer coefficient)
-terms.  The assembly in solve_dirichlet, hessian_field and apply_L all read
-that table, so the stencil changes there and nowhere else.  Ball boundaries
-are handled by cut cells: the first lattice layer outside the interior
-carries Dirichlet data evaluated at the radial projection onto the sphere,
-which costs one order at the boundary.
+terms.  _stencil is the one place where A, b and c become per-node weights
+of that table's offsets; the matrix solve_dirichlet inverts and apply_L
+both use those weights, so apply_L is the assembled operator, and
+hessian_field reads the D_ij terms.  Ball boundaries are handled by cut
+cells: the first lattice layer outside the interior carries Dirichlet data
+evaluated at the radial projection onto the sphere, which costs one order
+at the boundary.
 
 Coefficients and stencil weights live on interior nodes only, in row-major
-(np.flatnonzero) order.  solve_dirichlet finds each neighbour by flat-index
-arithmetic, position + offset . strides, in one index array, fills a
-fixed-width block of columns and values per row in ascending flat offset,
-and builds the CSR arrays (indptr, indices, data) directly.  A coefficient
-builder maps (grid, spectrum=None) to a CoeffField; spectrum is the
-caller's declared pointwise spectrum of A, which the field keeps so that
-CoeffField.spectra runs no eigvalsh.
+(np.flatnonzero) order.  Every lattice difference finds each neighbour by
+flat-index arithmetic, position + offset . strides (_positions), and
+apply_L and hessian_field sum the gathered neighbour values in one
+function (_gather).  solve_dirichlet fills a fixed-width block of columns
+and values per row in ascending flat offset and builds the CSR arrays
+(indptr, indices, data) directly.  A coefficient builder maps (grid,
+spectrum=None) to a CoeffField; spectrum is the caller's declared pointwise
+spectrum of A, which the field keeps so that CoeffField.spectra runs no
+eigvalsh.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it cannot
@@ -70,16 +74,19 @@ class Domain:
     @staticmethod
     def ball(center, radius):
         center = np.asarray(center, dtype=float)
-        if radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not (np.all(np.isfinite(center)) and 0 < radius < np.inf):
+            raise ValueError(f"ball needs a finite center and a finite "
+                             f"radius > 0, got {center.tolist()} and "
+                             f"{radius!r}")
         return Domain("ball", center.size, center=center, radius=float(radius))
 
     @staticmethod
     def box(lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if lo.size != hi.size or not np.all(lo < hi):
-            raise ValueError("box needs lo < hi componentwise")
+        if (lo.size != hi.size or not np.all(lo < hi)
+                or not np.all(np.isfinite(np.r_[lo, hi]))):
+            raise ValueError("box needs finite lo < hi componentwise")
         return Domain("box", lo.size, lo=lo, hi=hi)
 
     @property
@@ -357,33 +364,39 @@ def _difference_table(n):
     return second, first
 
 
-def _difference(v, terms, denom):
-    """sum k v(p + offset) / denom over the (offset, k) terms, in order."""
+def _positions(mask):
+    """Flat positions of mask's nodes in row-major order, and the row-major
+    strides of its box: the neighbour of position p at lattice offset o is
+    p + o . strides."""
+    # Grid keeps every interior node off the faces of the box, so no
+    # neighbour p + offset . strides wraps into another row
+    assert not any(mask.take(end, axis).any()
+                   for axis in range(mask.ndim) for end in (0, -1))
+    strides = np.cumprod((1,) + mask.shape[:0:-1])[::-1]
+    return np.flatnonzero(mask), strides
+
+
+def _gather(values, pos, strides, terms):
+    """sum k values(p + offset) over the (offset, k) terms, in order, at
+    the flat positions pos; k is an integer or one weight per position."""
+    flat = values.ravel()
     acc = None
     for off, k in terms:
-        t = _shift(v, off)
+        t = flat[pos + int(np.dot(off, strides))]
         t *= k
         acc = t if acc is None else np.add(acc, t, out=acc)
-    return acc / denom
+    return acc
 
 
 def apply_L(u, coeff):
     """Discrete Lu = A : D^2 u + b . Du + c u on interior nodes (zero
-    elsewhere), with the differences of _difference_table.  Exact (to
-    rounding) on polynomials of degree <= 2.
+    elsewhere): the weights of _stencil, those of the assembled matrix,
+    applied to u.  Exact (to rounding) on polynomials of degree <= 2.
     """
     grid = u.grid
-    interior = grid.interior
-    H, _ = hessian_field(u)
-    Lu = np.einsum("kij,kij->k", coeff.A, H[interior])
-    if coeff.b is not None:
-        for i, scale, terms in _difference_table(grid.dim)[1]:
-            Lu += coeff.b[:, i] * _difference(u.values, terms,
-                                              scale * grid.h)[interior]
-    if coeff.c is not None:
-        Lu += coeff.c * u.values[interior]
+    pos, strides = _positions(grid.interior)
     out = np.zeros(grid.shape)
-    out[interior] = Lu
+    out.ravel()[pos] = _gather(u.values, pos, strides, _stencil(coeff))
     return ScalarField(grid, out)
 
 
@@ -488,13 +501,8 @@ def _assemble(coeff, f, g):
     off-diagonal weight."""
     grid = f.grid
     interior = grid.interior
-    # Grid keeps every interior node off the faces of the box, so no
-    # neighbour p + offset . strides below wraps into another row
-    assert not any(interior.take(end, axis).any()
-                   for axis in range(grid.dim) for end in (0, -1))
-    pos = np.flatnonzero(interior)
+    pos, strides = _positions(interior)
     nuk = pos.size
-    strides = np.cumprod((1,) + grid.shape[:0:-1])[::-1]    # row-major
     index = np.full(interior.size, -1, dtype=np.int32)
     index[pos] = np.arange(nuk, dtype=np.int32)
     boundary = grid.boundary.ravel()
@@ -508,7 +516,9 @@ def _assemble(coeff, f, g):
     vals = np.empty((nuk, len(stencil)))
     rhs = -f.values[interior].astype(float)
     wrong_sign = np.zeros(nuk, dtype=bool)
-    for (off, w), d, slot in zip(stencil, flat, np.argsort(np.argsort(flat))):
+    for d, slot in zip(flat, np.argsort(np.argsort(flat))):
+        # each weight array is freed once it is in the block
+        off, w = stencil.pop(0)
         if any(off):
             wrong_sign |= w < -1e-12
         nb = pos + d
@@ -551,14 +561,18 @@ def sup_inf_osc(f, mask=None):
 
 def hessian_field(u):
     """Central-difference Hessian per node and its validity mask (interior
-    nodes one layer in).  Exactly symmetric by construction."""
+    nodes one layer in), zero off that mask.  Exactly symmetric by
+    construction."""
     grid = u.grid
     n = grid.dim
+    valid = interior_eroded(grid, 1)
+    pos, strides = _positions(valid)
     H = np.zeros(grid.shape + (n, n))
+    nodes = H.reshape(-1, n, n)     # a view: writes land in H
     for i, j, scale, terms in _difference_table(n)[0]:
-        H[..., i, j] = H[..., j, i] = _difference(u.values, terms,
-                                                  scale * grid.h ** 2)
-    return H, interior_eroded(grid, 1)
+        nodes[pos, i, j] = nodes[pos, j, i] = (
+            _gather(u.values, pos, strides, terms) / (scale * grid.h ** 2))
+    return H, valid
 
 
 def interior_eroded(grid, layers):

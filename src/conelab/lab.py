@@ -163,9 +163,17 @@ def _integer(value):
     return int(num)
 
 
+def _number(value):
+    """A finite number as a float: JSON's Infinity and NaN parse, but no
+    field takes them."""
+    num = float(value)
+    _require(np.isfinite(num), f"need a finite number, got {value!r}")
+    return num
+
+
 def _numbers(value):
-    """A number or a list of numbers, as a tuple of floats."""
-    return tuple(map(float, value if isinstance(value, (list, tuple))
+    """A number or a list of numbers, as a tuple of finite floats."""
+    return tuple(map(_number, value if isinstance(value, (list, tuple))
                      else [value]))
 
 
@@ -196,7 +204,7 @@ CONFIG_KEYS = {
     "name": ("name", str, str),
     "n": ("n", _integer, int),
     "k": ("k", _integer, int),
-    "q": ("q", float, float),
+    "q": ("q", _number, float),
     "domain": ("domain", lambda v: fd.Domain.from_dict(_object(v)),
                fd.Domain.to_dict),
     "h": ("h_ladder", _ladder, list),
@@ -205,8 +213,8 @@ CONFIG_KEYS = {
     "eps_ladder": ("eps_ladder", _unit_ladder, list),
     "q_list": ("q_list", _numbers, list),
     "sigma_ladder": ("sigma_ladder", _unit_ladder, list),
-    "sigma": ("sigma", float, float),
-    "p": ("p", float, float),
+    "sigma": ("sigma", _number, float),
+    "p": ("p", _number, float),
     "mode": ("mode", str, str),
     "q_rule_violation": ("q_rule_violation", bool, bool),
 }
@@ -318,7 +326,8 @@ def parse_config(d):
     n, k, q = cfg.n, cfg.k, cfg.q
     _require(n >= 2, f"field 'n': need n >= 2, got {n}")
     _require(1 <= k <= n, f"field 'k': need 1 <= k <= n, got {k}")
-    for key, x in (("q", q), ("p", cfg.p)):
+    for key, x in (("q", q), ("p", cfg.p),
+                   *(("q_list", qi) for qi in cfg.q_list)):
         _require(x >= 1, f"field '{key}': need {key} >= 1, got {x}")
     _require(0 < cfg.sigma < 1,
              f"field 'sigma': need 0 < sigma < 1, got {cfg.sigma}")

@@ -22,7 +22,9 @@ import conelab.cli
 tracer = Tracer()
 tracer.install()
 wrapped = {}
-for name in ("green.rho_star_field", "green.bound_report_for",
+# green binds hessian_field at import: fd.hessian_s needs both wrapped
+for name in ("fd.hessian_field", "green.hessian_field",
+             "green.rho_star_field", "green.bound_report_for",
              "lab.coeff_builder", "symcone.rho_star"):
     module, attr = name.split(".")
     fn = getattr(getattr(conelab, module), attr, None)

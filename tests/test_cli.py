@@ -141,6 +141,17 @@ class TestSolveCommand:
         assert code == 2 and f"'{key}'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_infinity_exits_2(self, capsys, tmp_path):
+        # json writes and reads inf as the literal Infinity
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": 3, "k": 2, "q": float("inf"),
+                                 "mode": "exploratory"}))
+        assert "Infinity" in p.read_text()
+        code, err = run_failing(capsys, "exp", "max_principle", "--config",
+                                str(p), "--out", str(tmp_path / "out"))
+        assert code == 2 and "'q'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")

@@ -444,6 +444,22 @@ def _coo_reference(coeff, f, g):
     return A, rhs, int(np.count_nonzero(wrong_sign))
 
 
+def _shifted_hessian(u):
+    """Reference Hessian: each D_ij of the difference table as a sum of
+    full-box shifted copies of u, over the whole box."""
+    grid = u.grid
+    n = grid.dim
+    H = np.zeros(grid.shape + (n, n))
+    for i, j, scale, terms in fd._difference_table(n)[0]:
+        acc = None
+        for off, k in terms:
+            t = fd._shift(u.values, off)
+            t *= k
+            acc = t if acc is None else np.add(acc, t, out=acc)
+        H[..., i, j] = H[..., j, i] = acc / (scale * grid.h ** 2)
+    return H
+
+
 def _solved_systems(monkeypatch):
     """List that collects each (A, rhs) solve_dirichlet hands the solver."""
     seen, solve = [], fd._solve_linear
@@ -488,11 +504,56 @@ class TestAssemblyOracle:
                    for w in caught) == warns
 
 
+def _wavy(x):
+    """A smooth field that no difference reproduces exactly."""
+    return (np.sin(3 * x[..., 0] - x[..., -1]) * np.exp(x[..., 1])
+            + np.cos(2 * np.sum(x, -1)))
+
+
+class TestGatherOracle:
+    """hessian_field and apply_L against full-box and assembled
+    references."""
+
+    @pytest.mark.parametrize("domain, h", [
+        (unit_box(2), 1 / 16), (unit_ball(3), 1 / 8), (unit_ball(4), 1 / 5)],
+        ids=["box2", "ball3", "ball4"])
+    def test_hessian_bit_equal(self, domain, h):
+        g = fd.build_grid(domain, h)
+        u = fd.field_from_function(g, _wavy)
+        H, valid = fd.hessian_field(u)
+        assert np.array_equal(valid, fd.interior_eroded(g, 1))
+        assert H[valid].tobytes() == _shifted_hessian(u)[valid].tobytes()
+        assert not np.any(H[~valid])
+
+    @pytest.mark.parametrize("domain, h", [
+        (unit_box(2), 1 / 16), (unit_ball(3), 1 / 8)], ids=["box2", "ball3"])
+    def test_apply_L_is_the_assembled_operator(self, domain, h):
+        # anisotropic A with per-node drift and potential: apply_L equals
+        # the reference matrix applied to u plus the boundary terms, which
+        # the reference right-hand side carries for f = 0
+        g = fd.build_grid(domain, h)
+        n = g.dim
+        x = g.points(g.interior)
+        A = fd.coeff_gilbarg_serrin(n, 0.25)(g).A
+        b = np.stack([np.cos(x[:, i] + i) for i in range(n)], axis=1)
+        coeff = fd.CoeffField(g, A, b, 1.0 + np.sum(x ** 2, -1))
+        u = fd.field_from_function(g, _wavy)
+        zero = fd.ScalarField(g, np.zeros(g.shape))
+        data = fd.ScalarField(g, np.where(g.boundary, u.values, 0.0))
+        ref, rhs, _ = _coo_reference(coeff, zero, data)
+        want = ref @ u.values[g.interior] - rhs
+        got = fd.apply_L(u, coeff).values
+        assert np.max(np.abs(got[g.interior] - want)) <= (
+            1e-12 * np.max(np.abs(want)))
+        assert not np.any(got[~g.interior])
+
+
 class TestMemoryBudget:
     """tracemalloc peaks on the n = 3 unit ball at h = 1/16 (15,408
     unknowns).  Full-box coefficient arrays and per-offset full-box copies
     peak at 12x the interior coefficient bytes and 5.9x the CSR bytes;
-    interior storage at 3.6x and 3.0x."""
+    interior storage at 3.6x and 3.0x, and 2.3x for the CSR once the
+    assembly frees each stencil weight as it is written."""
 
     def test_coeff_peak(self):
         g = fd.build_grid(unit_ball(3), 1 / 16)
@@ -521,7 +582,7 @@ class TestMemoryBudget:
                 tracemalloc.stop()
         (A, _), = seen
         csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        assert peak <= 4.5 * csr
+        assert peak <= 2.6 * csr
 
 
 class TestNorms:

@@ -13,6 +13,9 @@ from conelab import fd, lab
 from conelab.symcone import NumericError
 
 
+INF = float("inf")
+
+
 def ball_dict(n, r=1.0):
     return {"kind": "ball", "center": [0.0] * n, "radius": r}
 
@@ -149,6 +152,19 @@ class TestConfigParsing:
         ({"p": 0.5}, "field 'p'"),
         ({"sigma_ladder": [0.25, 1.5]}, "sigma_ladder"),
         ({"seed": 0}, "seed"),
+        # JSON's Infinity parses to inf, which no field takes
+        ({"q": INF}, "field 'q'"),
+        ({"p": INF}, "field 'p'"),
+        ({"h": [0.125, INF]}, "field 'h'"),
+        ({"q_list": [2.0, INF]}, "field 'q_list'"),
+        ({"q_list": [2.0, 0.5]}, "field 'q_list'"),
+        ({"domain": {**ball_dict(3), "center": [0.0, INF, 0.0]}},
+         "field 'domain': ball needs a finite center"),
+        ({"domain": ball_dict(3, INF)}, "field 'domain': ball needs"),
+        ({"domain": {"kind": "box", "lo": [-INF] * 3, "hi": [1.0] * 3}},
+         "field 'domain': box needs finite"),
+        ({"domain": {"kind": "box", "lo": [0.0] * 3, "hi": [1.0, 1.0, INF]}},
+         "field 'domain': box needs finite"),
     ])
     def test_misread_field_rejected(self, update, field):
         with pytest.raises(ValueError, match=field):

@@ -17,7 +17,6 @@ import numpy as np
 from . import symcone
 from .fd import ScalarField, hessian_field, lq_norm, sup_inf_osc
 from .radial import RadialProfile, unit_ball_volume
-from .symcone import MEMBERSHIP_TOL, elem_sym_table
 
 log = logging.getLogger(__name__)
 
@@ -40,14 +39,10 @@ def contact_mask(u, k):
     undecidable nodes could drop true contact points.
     """
     grid = u.grid
-    n = grid.dim
     H, valid = hessian_field(u)
-    lam = np.linalg.eigvalsh(-H[valid])
-    e = elem_sym_table(lam)
-    slacks = e[:, 1:k + 1] / np.array([comb(n, j) for j in range(1, k + 1)])
-    member = np.all(slacks >= -MEMBERSHIP_TOL, axis=1)
+    slack = symcone.cone_slack(np.linalg.eigvalsh(-H[valid]), k)
     mask = grid.interior & ~valid
-    mask[valid] = member
+    mask[valid] = slack >= -symcone.MEMBERSHIP_TOL
     return ContactMask(mask)
 
 
@@ -141,67 +136,27 @@ class BoundReport:
         return {**asdict(self), "margin": self.margin}
 
 
-def _rho_star_rows(lam, k):
-    """rho*_k of each row of lam and where it fails: (values, bad, path,
-    optimizer calls).  Closed forms for k = 2 and k = n, otherwise one
-    symcone.rho_star call per row."""
-    n = lam.shape[1]
-    if k == 2:
-        s1 = lam.sum(axis=1)
-        disc = s1 ** 2 - (n - 1) * np.sum(lam ** 2, axis=1)
-        return (np.sqrt(np.maximum(disc, 0.0) / n), (s1 < 0) | (disc < 0),
-                "closed_k2", 0)
-    if k == n:
-        return (np.prod(np.maximum(lam, 0.0), axis=1) ** (1.0 / n),
-                lam.min(axis=1) < -MEMBERSHIP_TOL, "closed_kn", 0)
-    vals = np.zeros(len(lam))
-    bad = np.zeros(len(lam), dtype=bool)
-    for i, row in enumerate(lam):
-        try:
-            vals[i] = symcone.rho_star(row, k)
-        except ValueError:
-            bad[i] = True
-    return vals, bad, "optimized", len(lam)
-
-
 def rho_star_field(coeff, k, mask):
     """Per-node rho*_k of the coefficient spectrum over mask.
 
-    A field with a declared spectrum is evaluated once and the value
-    broadcast to the nodes (spectrum=declared).  Otherwise (spectrum=
-    lattice) the closed forms for k = 2 and k = n run per node, and
-    symcone.rho_star once per bit-distinct spectrum, exactly as a per-node
-    loop would give.  Logs one DEBUG record (path, nodes, distinct
-    spectra, optimizer calls, elapsed seconds, spectrum source).  Raises
-    identifying the first offending node if rho*_k <= 0 anywhere.
+    The field's declared spectrum, or else each node's eigvalsh row, goes
+    to symcone.rho_star_rows, and the values are broadcast (read-only) to
+    the nodes.  Logs one DEBUG record (path, nodes, optimizer calls,
+    elapsed seconds, spectrum source).  Raises identifying the first
+    offending node if rho*_k <= 0 anywhere.
     """
     t0 = time.perf_counter()
     lam = coeff.spectra(mask)
-    nodes = len(lam)
-    if coeff.spectrum is not None:
-        source, distinct = "declared", 1
-        rows, inverse = coeff.spectrum[None], np.zeros(nodes, dtype=int)
-    elif k in (2, coeff.grid.dim):
-        # a closed form costs less per node than np.unique would
-        source, distinct = "lattice", "-"
-        rows, inverse = lam, None
-    else:
-        # rho*_k depends on the node only through its spectrum: one
-        # optimizer call per bit-distinct row gives the per-node values
-        source = "lattice"
-        rows, inverse = np.unique(lam, axis=0, return_inverse=True)
-        distinct = len(rows)
-        inverse = inverse.reshape(-1)    # 2-d on some numpy 2.x releases
-    vals, bad, path, calls = _rho_star_rows(rows, k)
-    if inverse is not None:
-        vals, bad = vals[inverse], bad[inverse]
-    log.debug("rho_star_field: k=%d path=%s nodes=%d distinct=%s calls=%d "
-              "elapsed=%.4f spectrum=%s", k, path, nodes, distinct, calls,
-              time.perf_counter() - t0, source)
-    if np.any(bad | (vals <= 0.0)):
-        i = int(np.argmax(bad | (vals <= 0.0)))
-        node = np.argwhere(mask)[i]
-        raise ValueError(f"rho*_{k} <= 0 at node {tuple(node)}")
+    declared = coeff.spectrum is not None
+    vals, path, calls = symcone.rho_star_rows(lam[:1] if declared else lam, k)
+    vals = np.broadcast_to(vals, len(lam))
+    log.debug("rho_star_field: k=%d path=%s nodes=%d calls=%d elapsed=%.4f "
+              "spectrum=%s", k, path, len(lam), calls,
+              time.perf_counter() - t0, "declared" if declared else "lattice")
+    bad = ~(vals > 0.0)     # nan outside G*_k
+    if np.any(bad):
+        node = np.argwhere(mask)[int(np.argmax(bad))]
+        raise ValueError(f"rho*_{k} <= 0 at node {tuple(node.tolist())}")
     return vals
 
 

@@ -193,6 +193,12 @@ def _unit_ladder(value):
     return xs
 
 
+def _flag(value):
+    """JSON true or false; a string or number is not read as a flag."""
+    _require(isinstance(value, bool), f"need true or false, got {value!r}")
+    return value
+
+
 def _object(value):
     _require(isinstance(value, dict), f"need a JSON object, got {value!r}")
     return dict(value)
@@ -216,7 +222,7 @@ CONFIG_KEYS = {
     "sigma": ("sigma", _number, float),
     "p": ("p", _number, float),
     "mode": ("mode", str, str),
-    "q_rule_violation": ("q_rule_violation", bool, bool),
+    "q_rule_violation": ("q_rule_violation", _flag, bool),
 }
 _REQUIRED = {f.name for f in fields(ExperimentConfig)
              if f.default is MISSING and f.default_factory is MISSING}
@@ -540,22 +546,16 @@ def exp_log_family(cfg, rep):
         {"eps": list(cfg.eps_ladder), "norm": norms, "inf": infs})
 
 
-def _rho0(cfg):
-    """Uniform lower bound on rho*_k over the grid: rho*_k of the spectrum
-    of A, the same at every point for each operator type."""
-    op = cfg.operator
-    return symcone.rho_star(OPERATORS[op["type"]].spectrum(cfg.n, op), cfg.k)
-
-
 def exp_local_max(cfg, rep):
     """Interior sup bound: sup_{B_sigma} u+ relative to a mean of u+ over
     the full ball plus a scaled rhs norm.  Property run: the ratio must be
-    stable under h-refinement (max/min <= 1.5), no value asserted."""
+    stable under h-refinement (max/min <= 1.5), no value asserted.  The
+    rhs term takes the least rho*_k over the lattice."""
     R = cfg.domain.radius
-    rho0 = _rho0(cfg)
     ratios = []
     for h in cfg.h_ladder:
-        grid, _, f, u = _solve(cfg, h)
+        grid, coeff, f, u = _solve(cfg, h)
+        rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
         r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
         inner = grid.interior & (r < cfg.sigma * R)
         up = fd.ScalarField(grid, np.maximum(u.values, 0.0))
@@ -580,10 +580,11 @@ def exp_local_max(cfg, rep):
 def exp_oscillation(cfg, rep):
     """Oscillation decay on concentric balls: fit osc(B_sigma) ~ sigma^a
     and require a > 0; for nonnegative solutions also record the
-    Harnack-form ratio sup / (inf + rhs norm term)."""
+    Harnack-form ratio sup / (inf + rhs norm term), whose rhs term takes
+    the least rho*_k over the lattice."""
     dom = cfg.domain
-    grid, _, f, u = _solve(cfg, one_spacing("oscillation", cfg))
-    rho0 = _rho0(cfg)
+    grid, coeff, f, u = _solve(cfg, one_spacing("oscillation", cfg))
+    rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
     r = np.linalg.norm(grid.points() - dom.center, axis=-1)
     oscs = []
     nonneg = bool(np.min(u.values[grid.interior]) >= -1e-12)

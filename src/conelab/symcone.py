@@ -3,7 +3,9 @@
 Implements the Garding cones G_k (S_1,...,S_k > 0), their closures and dual
 cones, the degree-1 normalizations rho_k = (S_k/C(n,k))^{1/k}, and the dual
 gauge rho*_k = inf { lam.mu / n : mu in G_k, rho_k(mu) >= 1 }: closed forms
-for k in {1, 2, n}, else damped Newton on the barrier -log S_k.
+for k in {1, 2, n}, else damped Newton on the barrier -log S_k.  The cone
+slack and rho*_k are defined once, over a stack of spectra (cone_slack,
+rho_star_rows); in_cone and rho_star are their one-row cases.
 """
 
 from __future__ import annotations
@@ -32,10 +34,13 @@ class ConeVerdict:
     variant: str
 
 
-def _check_spectrum(lam):
+def _check_spectrum(lam, ndim=1):
+    """lam as a float array of one spectrum (ndim 1) or a stack of them
+    (ndim 2, one per row), each of n >= 2 finite entries."""
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or lam.size < 2:
-        raise ValueError("spectrum must be a 1-d array with n >= 2")
+    if lam.ndim != ndim or lam.shape[-1] < 2:
+        shape = "a 1-d array" if ndim == 1 else "an (m, n) array"
+        raise ValueError(f"spectrum must be {shape} with n >= 2")
     if not np.all(np.isfinite(lam)):
         raise ValueError("spectrum entries must be finite")
     return lam
@@ -98,17 +103,22 @@ def rho_k(lam, k):
     return (sk / comb(lam.size, k)) ** (1.0 / k)
 
 
-def in_cone(lam, k, closed=False):
-    """Membership of lam in G_k (open) or its closure.
-
-    Margin is the smallest normalized slack min_j S_j(lam)/C(n,j), j=1..k.
-    """
-    lam = _check_spectrum(lam)
-    n = lam.size
-    k = _check_k(k, n)
+def cone_slack(lam, k):
+    """Smallest normalized slack min_j S_j/C(n,j), j = 1..k, of each
+    spectrum along the last axis of lam: >= 0 exactly on the closed cone."""
+    n = lam.shape[-1]
     e = elem_sym_table(lam)
-    slacks = [e[j] / comb(n, j) for j in range(1, k + 1)]
-    margin = float(min(slacks))
+    return np.min(e[..., 1:k + 1] / np.array([comb(n, j)
+                                              for j in range(1, k + 1)]),
+                  axis=-1)
+
+
+def in_cone(lam, k, closed=False):
+    """Membership of lam in G_k (open) or its closure; the margin is
+    cone_slack(lam, k)."""
+    lam = _check_spectrum(lam)
+    k = _check_k(k, lam.size)
+    margin = float(cone_slack(lam, k))
     member = margin > (-MEMBERSHIP_TOL if closed else MEMBERSHIP_TOL)
     return ConeVerdict(member, margin, k, CLOSED if closed else OPEN)
 
@@ -194,6 +204,24 @@ def _dual_margin_optimize(lam, k):
     return best * scale
 
 
+def _closed_margins(lam, k):
+    """dual_margin of each row of lam (m, n), for k in {1, 2, n}."""
+    n = lam.shape[1]
+    norm = np.linalg.norm(lam, axis=1)
+    perp = np.linalg.norm(lam - lam.mean(axis=1, keepdims=True), axis=1)
+    if k == 1:
+        # half-space {S_1 >= 0}: split lam along the diagonal ray
+        return np.where(lam.mean(axis=1) >= 0.0, -perp, -norm)
+    if k == n:
+        # positive orthant: basis vectors / negative-part direction
+        neg = np.linalg.norm(np.minimum(lam, 0.0), axis=1)
+        return np.where(neg > 0.0, -neg, lam.min(axis=1))
+    # circular cone with axis (1,..,1)/sqrt(n), half-angle arccos(1/sqrt n)
+    a = lam.sum(axis=1) / np.sqrt(n)
+    polar = (a < 0.0) & (perp < -a * np.sqrt(n - 1))
+    return np.where(polar, -norm, (a - np.sqrt(n - 1) * perp) / np.sqrt(n))
+
+
 def dual_margin(lam, k):
     """inf { lam.mu : mu in closure(G_k), |mu| = 1 }.
 
@@ -204,27 +232,8 @@ def dual_margin(lam, k):
     lam = _check_spectrum(lam)
     n = lam.size
     k = _check_k(k, n)
-
-    if k == 1:
-        # half-space {S_1 >= 0}: split lam along the diagonal ray
-        ell = lam.mean()
-        perp = lam - ell
-        if ell >= 0.0:
-            return -float(np.linalg.norm(perp))
-        return -float(np.linalg.norm(lam))
-    if k == n:
-        # positive orthant: basis vectors / negative-part direction
-        neg = lam[lam < 0]
-        if neg.size == 0:
-            return float(lam.min())
-        return -float(np.linalg.norm(neg))
-    if k == 2:
-        # circular cone with axis (1,..,1)/sqrt(n), half-angle arccos(1/sqrt n)
-        a = lam.sum() / np.sqrt(n)
-        perp = float(np.linalg.norm(lam - lam.mean()))
-        if a < 0.0 and perp < -a * np.sqrt(n - 1):
-            return -float(np.linalg.norm(lam))
-        return float((a - np.sqrt(n - 1) * perp) / np.sqrt(n))
+    if k in (1, 2, n):
+        return float(_closed_margins(lam[None], k)[0])
     return _dual_margin_optimize(lam, k)
 
 
@@ -245,15 +254,6 @@ def rho_star_closed_form_2(lam):
     if val < 0:
         raise ValueError("spectrum outside G*_2")
     return float(np.sqrt(val / n))
-
-
-def _checked_margin(lam, k, scale):
-    """dual_margin(lam, k); raises ValueError when lam is outside G*_k."""
-    margin = dual_margin(lam, k)
-    if margin < -MEMBERSHIP_TOL * scale:
-        raise ValueError(f"spectrum not in dual cone G*_{k} "
-                         f"(margin {margin:.3e})")
-    return margin
 
 
 def _barrier_newton(a, k):
@@ -324,36 +324,68 @@ def rho_star_program(lam, k):
     mu = _barrier_newton(a, k)
     if mu is not None:
         return scale * float(a @ mu / n) / rho_k(mu, k)
-    if _checked_margin(lam, k, scale) < BOUNDARY_TOL * scale:
+    margin = dual_margin(lam, k)
+    if margin < -MEMBERSHIP_TOL * scale:
+        raise ValueError(f"spectrum not in dual cone G*_{k} "
+                         f"(margin {margin:.3e})")
+    if margin < BOUNDARY_TOL * scale:
         return 0.0
     raise NumericError("rho*_k barrier Newton did not converge")
 
 
-def rho_star(lam, k):
-    """Dual gauge rho*_k(lam); 0 on the boundary of G*_k.
+def _optimized_gauge(lam, k):
+    """rho_star_program(lam, k) with the rule of rho_star_rows: nan
+    outside G*_k, 0 within BOUNDARY_TOL |lam| of its boundary."""
+    try:
+        val = rho_star_program(lam, k)
+    except ValueError:      # outside G*_k
+        return np.nan
+    return 0.0 if val < BOUNDARY_TOL * float(np.linalg.norm(lam)) else val
 
-    Dispatches to closed forms for k in {1, 2, n}; otherwise to
-    rho_star_program, damped Newton on the barrier -log S_k of G_k.
+
+def rho_star_rows(lam, k):
+    """Dual gauge rho*_k of each row of lam (m, n), each row sorted
+    descending first: (values, path, optimizer calls).
+
+    A row outside G*_k (dual margin below -MEMBERSHIP_TOL |lam|) gets nan,
+    one within BOUNDARY_TOL |lam| of its boundary 0.  Closed forms for k in
+    {1, 2, n} (path closed_k1, closed_k2, closed_kn; no optimizer call);
+    otherwise (path optimized) rho_star_program once per bit-distinct row.
     """
-    lam = _check_spectrum(lam)
-    n = lam.size
+    lam = np.sort(_check_spectrum(lam, ndim=2), axis=1)[:, ::-1]
+    n = lam.shape[1]
     k = _check_k(k, n)
-    scale = float(np.linalg.norm(lam))
-    if scale == 0.0:
-        return 0.0
+    if k not in (1, 2, n):
+        # a row's bytes key its solve (np.unique costs more on one row)
+        keys = [row.tobytes() for row in lam]
+        solved = {key: _optimized_gauge(np.frombuffer(key), k)
+                  for key in dict.fromkeys(keys)}
+        return (np.array([solved[key] for key in keys], dtype=float),
+                "optimized", len(solved))
+    if k == 1:
+        path, vals = "closed_k1", lam.mean(axis=1)
+    elif k == 2:
+        s1 = lam.sum(axis=1)
+        disc = s1 ** 2 - (n - 1) * np.sum(lam ** 2, axis=1)
+        path, vals = "closed_k2", np.sqrt(np.maximum(disc, 0.0) / n)
+    else:
+        path = "closed_kn"
+        vals = np.prod(np.maximum(lam, 0.0), axis=1) ** (1.0 / n)
+    margin = _closed_margins(lam, k)
+    scale = np.linalg.norm(lam, axis=1)
+    vals = np.where(margin < BOUNDARY_TOL * scale, 0.0, vals)
+    return np.where(margin < -MEMBERSHIP_TOL * scale, np.nan, vals), path, 0
 
-    if k in (1, 2, n):
-        margin = _checked_margin(lam, k, scale)
-        if k == 1:
-            val = float(lam.mean())
-        elif k == n:
-            val = float(np.prod(np.maximum(lam, 0.0)) ** (1.0 / n))
-        else:
-            val = rho_star_closed_form_2(lam)
-        return 0.0 if margin < BOUNDARY_TOL * scale else val
 
-    val = rho_star_program(lam, k)
-    return 0.0 if val < BOUNDARY_TOL * scale else val
+def rho_star(lam, k):
+    """Dual gauge rho*_k(lam): rho_star_rows on the one row lam; raises
+    ValueError outside G*_k."""
+    lam = _check_spectrum(lam)
+    k = _check_k(k, lam.size)
+    val = float(rho_star_rows(lam[None], k)[0][0])
+    if np.isnan(val):
+        raise ValueError(f"spectrum not in dual cone G*_{k}")
+    return val
 
 
 def rho_star_oracle(lam, k, samples, seed=0):

@@ -261,6 +261,29 @@ def test_criterion_06_explicit_constant_bound(tmp_path):
     assert abs(bubble["rhs"] - 4.0) <= 0.2
 
 
+def test_battery_rho_star_defined_once():
+    # for each (operator, k) of the battery: the lattice field, the stacked
+    # evaluation and a one-row call on the operator's own spectrum order
+    # give the same bits
+    seen = set()
+    for job in battery_configs():
+        n, k, op = job["n"], job["k"], job.get("operator",
+                                               {"type": "identity"})
+        if repr((n, k, op)) in seen:
+            continue
+        seen.add(repr((n, k, op)))
+        cfg = lab.parse_config({key: v for key, v in job.items()
+                                if key != "exp"})
+        grid = fd.build_grid(fd.Domain.ball(np.zeros(n), 1.0), 0.25)
+        coeff = lab.coeff_builder(cfg)(grid)
+        field = green.rho_star_field(coeff, k, grid.interior)
+        rows, _, _ = symcone.rho_star_rows(coeff.spectrum[None], k)
+        one = symcone.rho_star(lab.OPERATORS[op["type"]].spectrum(n, op), k)
+        assert rows[0] > 0.0 and rows[0] == one, (n, k, op)
+        assert np.array_equal(field, np.full(len(field), one)), (n, k, op)
+    assert len(seen) >= 10
+
+
 def test_battery_config_echo_round_trip():
     # the echo in each report parses back to the same config
     for job in battery_configs():

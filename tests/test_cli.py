@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import logging
 import os
@@ -5,9 +7,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conelab
 from conelab import cli, fd, lab, serialize
@@ -245,6 +251,87 @@ class TestSuiteCommand:
         assert code == 2
 
 
+# gilbarg_serrin's spectrum (1, 1, 4) at n = 3, alpha = 0.5 lies on the
+# boundary of G*_2, where rho*_2 is 0
+BOUNDARY_CFG = {"n": 3, "k": 2, "q": 2.0, "h": [0.25],
+                "operator": {"type": "gilbarg_serrin", "alpha": 0.5}}
+
+
+class TestBoundaryOperator:
+    """An operator whose rho*_k is 0 is a config error on every path."""
+
+    def test_every_experiment_names_the_node(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(BOUNDARY_CFG))
+        errs = []
+        for exp in ("local_max", "oscillation", "max_principle"):
+            code, err = run_failing(capsys, "exp", exp, "--config", str(p),
+                                    "--out", str(tmp_path / exp))
+            assert code == 2, exp
+            errs.append(err)
+        assert re.fullmatch(r"error: rho\*_2 <= 0 at node "
+                            r"\(\d+, \d+, \d+\)\n", errs[0])
+        assert errs == errs[:1] * 3
+
+    def test_suite_keeps_the_other_reports(self, capsys, tmp_path):
+        battery = {"experiments": [
+            {"exp": "local_max", "name": "boundary", **BOUNDARY_CFG},
+            {"exp": "max_principle", "name": "bubble", "n": 3, "k": 2,
+             "q": 2.0, "h": [0.25],
+             "f": {"type": "constant", "params": {"value": 6.0}}}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        code = cli.main(["suite", "--config", str(p),
+                         "--out", str(tmp_path / "suite")])
+        captured = capsys.readouterr()
+        d = json.loads(captured.out)
+        assert code == 2 and d["exit_code"] == 2
+        assert [(r["name"], r["passed"]) for r in d["reports"]] == [
+            ("boundary", False), ("bubble", True)]
+        assert d["reports"][0]["error"].startswith(
+            "ValueError: rho*_2 <= 0 at node (")
+        assert (tmp_path / "suite" / "bubble" / "report.json").exists()
+        assert not (tmp_path / "suite" / "boundary").exists()
+
+
+@st.composite
+def gilbarg_serrin_configs(draw):
+    """A config that parse_config accepts: a gilbarg_serrin operator at
+    h = 1/4, alpha on the boundary of G*_k or anywhere near it."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    mode = draw(st.sampled_from(["strict", "exploratory"]))
+    if mode == "strict":
+        q = float(k) if 2 * k > n else draw(st.floats(n / 2 + 0.01, 6.0))
+    else:
+        q = draw(st.floats(1.0, 6.0))
+    alpha = draw(st.sampled_from([2.0 - n / k, 0.5]) | st.floats(-3.0, 1.5))
+    f = draw(st.sampled_from([
+        {"type": "zero"}, {"type": "constant", "params": {"value": 2.0}},
+        {"type": "gaussian", "params": {"amp": -3.0, "width": 0.5}}]))
+    return {"n": n, "k": k, "q": q, "mode": mode, "h": [0.25],
+            "operator": {"type": "gilbarg_serrin", "alpha": alpha}, "f": f}
+
+
+@settings(deadline=None, max_examples=40)
+@given(cfg=gilbarg_serrin_configs())
+def test_gilbarg_serrin_configs_exit_with_a_code(cfg):
+    # a crash must not share exit code 1 with a failed verdict
+    lab.parse_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        for exp in ("local_max", "oscillation", "max_principle"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main(["exp", exp, "--config", path,
+                                 "--out", os.path.join(tmp, exp)])
+            assert code in (0, 1, 2, 3), (exp, code)
+
+
 class TestUnreadableConfig:
     @pytest.mark.parametrize("command", [["solve"], ["exp", "max_principle"],
                                          ["suite"]])
@@ -315,7 +402,7 @@ class TestLogEnvironment:
                          loud.err)
         assert ("DEBUG conelab.green: rho_star_field: k=3 path=optimized "
                 "nodes=") in loud.err
-        assert re.search(r"distinct=1 calls=1 elapsed=\d+\.\d{4} "
+        assert re.search(r"nodes=\d+ calls=1 elapsed=\d+\.\d{4} "
                          r"spectrum=declared\n", loud.err)
         assert loud.out == quiet.out
         assert logged_files == files and "report.json" in files

@@ -185,7 +185,7 @@ class TestRhoStarFieldDeclared:
         assert np.array_equal(declared, lattice)
         lattice_rec, declared_rec = caplog.messages
         assert "spectrum=lattice" in lattice_rec
-        assert re.search(r"nodes=\d+ distinct=1 calls=%d elapsed=\S+ "
+        assert re.search(r"nodes=\d+ calls=%d elapsed=\S+ "
                          r"spectrum=declared$" % (k not in (2, n)),
                          declared_rec)
 
@@ -193,13 +193,30 @@ class TestRhoStarFieldDeclared:
         g = ball_grid(3, 0.25)
         A = np.diag([1.0, 1.0, 5.0])
         coeff = fd.constant_coeff(A)(g, np.diag(A))
-        node = tuple(np.argwhere(g.interior)[0])
+        node = tuple(np.argwhere(g.interior)[0].tolist())
         with pytest.raises(ValueError, match=re.escape(f"node {node}")):
             rho_star_field(coeff, 2, g.interior)
 
 
+class TestRhoStarFieldBoundary:
+    """The lattice keeps symcone's rule: 0 within BOUNDARY_TOL of the
+    boundary of G*_k, and a zero rho*_k is an error."""
+
+    @pytest.mark.parametrize("lam, k", [
+        ([1.0, 1.0, 1e-8], 3),
+        (symcone.gs_spectrum(3, 0.5 - 1e-9), 2)])
+    def test_near_boundary_is_zero_and_rejected(self, lam, k):
+        assert symcone.rho_star(lam, k) == 0.0
+        g = ball_grid(3, 0.25)
+        coeff = fd.constant_coeff(np.diag(lam))(g)
+        node = tuple(np.argwhere(g.interior)[0].tolist())
+        with pytest.raises(ValueError, match=re.escape(
+                f"rho*_{k} <= 0 at node {node}")):
+            rho_star_field(coeff, k, g.interior)
+
+
 class TestRhoStarFieldOptimized:
-    """2 < k < n: one symcone.rho_star call per distinct spectrum."""
+    """2 < k < n: one optimizer solve per distinct spectrum."""
 
     @pytest.fixture(scope="class")
     def gs_lattice(self):
@@ -214,13 +231,13 @@ class TestRhoStarFieldOptimized:
 
     def test_one_call_per_distinct_spectrum(self, gs_lattice, monkeypatch):
         coeff, mask = gs_lattice
-        seen, real = [], symcone.rho_star
+        seen, real = [], symcone._barrier_newton
 
-        def counted(lam, k):
-            seen.append(tuple(lam))
-            return real(lam, k)
+        def counted(a, k):
+            seen.append(tuple(a))
+            return real(a, k)
 
-        monkeypatch.setattr(symcone, "rho_star", counted)
+        monkeypatch.setattr(symcone, "_barrier_newton", counted)
         rho_star_field(coeff, 3, mask)
         assert np.count_nonzero(mask) == 704
         assert len(seen) == len(set(seen)) == 35
@@ -241,8 +258,8 @@ class TestRhoStarFieldOptimized:
             except ValueError:
                 break
         assert i == 100
-        with pytest.raises(ValueError,
-                           match=re.escape(f"node {tuple(nodes[i])}")):
+        node = tuple(nodes[i].tolist())
+        with pytest.raises(ValueError, match=re.escape(f"node {node}")):
             rho_star_field(coeff, 3, g.interior)
 
 

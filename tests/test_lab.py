@@ -165,6 +165,10 @@ class TestConfigParsing:
          "field 'domain': box needs finite"),
         ({"domain": {"kind": "box", "lo": [0.0] * 3, "hi": [1.0, 1.0, INF]}},
          "field 'domain': box needs finite"),
+        # the flag is JSON true or false; the rule gives true at q = 1.5
+        *(({"mode": "exploratory", "q": 1.5, "q_rule_violation": flag},
+           "field 'q_rule_violation': need true or false")
+          for flag in ("false", "no", 1)),
     ])
     def test_misread_field_rejected(self, update, field):
         with pytest.raises(ValueError, match=field):
@@ -179,7 +183,8 @@ class TestConfigParsing:
 
 class TestConstantOperator:
     def test_declared_spectrum_is_the_lattice_spectrum(self):
-        # _rho0 reads the declared spectrum, rho_star_field the lattice one
+        # coeff_builder attaches the declared spectrum, which rho_star_field
+        # evaluates in place of the lattice one
         A = [[1.0, 0.2, 0.0], [0.2, 1.5, -0.1], [0.0, -0.1, 2.0]]
         op = {"type": "constant", "matrix": A}
         grid = fd.build_grid(fd.Domain.ball(np.zeros(3), 1.0), 0.25)
@@ -237,16 +242,17 @@ class TestDeclaredSpectrum:
             "type": "gilbarg_serrin", "alpha": -0.3}})
         grid = fd.build_grid(fd.Domain.ball(np.zeros(4), 1.0), 0.25)
         coeff = lab.coeff_builder(cfg)(grid)
-        calls, real = [], symcone.rho_star
+        want = symcone.rho_star(coeff.spectrum, 3)
+        calls, real = [], symcone._barrier_newton
 
-        def counted(lam, k):
-            calls.append(lam)
-            return real(lam, k)
+        def counted(a, k):
+            calls.append(a)
+            return real(a, k)
 
-        monkeypatch.setattr(symcone, "rho_star", counted)
+        monkeypatch.setattr(symcone, "_barrier_newton", counted)
         vals = green.rho_star_field(coeff, 3, grid.interior)
         assert len(calls) == 1 and len(vals) == 704
-        assert np.all(vals == real(coeff.spectrum, 3))
+        assert np.all(vals == want)
 
     def test_origin_node_keeps_the_lattice_spectrum(self):
         # A(0) = I on a lattice through the origin: no single spectrum

@@ -18,9 +18,9 @@ flat-index arithmetic, position + offset . strides (_positions), and
 apply_L and hessian_field sum the gathered neighbour values in one
 function (_gather).  solve_dirichlet fills a fixed-width block of columns
 and values per row in ascending flat offset and builds the CSR arrays
-(indptr, indices, data) directly.  A coefficient builder maps (grid,
-spectrum=None) to a CoeffField; spectrum is the caller's declared pointwise
-spectrum of A, which the field keeps so that CoeffField.spectra runs no
+(indptr, indices, data) directly.  A coefficient builder maps a grid to a
+CoeffField and derives the spectrum of the A it builds from its own
+parameters, which the field keeps so that CoeffField.spectra runs no
 eigvalsh.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
@@ -46,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import bicgstab, spsolve
 
-from .symcone import NumericError
+from .symcone import NumericError, gs_spectrum
 
 MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
@@ -222,8 +222,9 @@ class CoeffField:
     """Coefficients on the nuk interior nodes only, in row-major order (that
     of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric, optional b
     (nuk, n) and c (nuk,).  The operator is elliptic only there, so nothing
-    is stored for the rest of the box.  spectrum, when the builder declares
-    one, is the eigenvalues of A at every interior node, kept descending."""
+    is stored for the rest of the box.  spectrum, when A has one at every
+    interior node, is those eigenvalues, kept descending; the builders
+    derive it, and a field built without one has none."""
     grid: Grid
     A: np.ndarray
     b: np.ndarray | None = None
@@ -241,16 +242,12 @@ class CoeffField:
             raise ValueError("coefficient matrices must be exactly "
                              "symmetric")
         if self.spectrum is not None:
-            lam = np.sort(np.asarray(self.spectrum, dtype=float))[::-1]
-            if lam.shape != (n,):
-                raise ValueError(f"declared spectrum has shape {lam.shape}, "
-                                 f"need {(n,)}")
-            self.spectrum = lam
+            self.spectrum = np.sort(self.spectrum)[::-1]
 
     def spectra(self, mask=None):
         """Per-node eigenvalues (descending) over mask (default interior),
-        which must lie in the interior: the declared spectrum broadcast to
-        the mask's nodes when there is one, else eigvalsh per node."""
+        which must lie in the interior: the field's spectrum broadcast to
+        the mask's nodes when it has one, else eigvalsh per node."""
         grid = self.grid
         if mask is not None and np.any(mask & ~grid.interior):
             raise ValueError("coefficients exist on interior nodes only")
@@ -262,10 +259,12 @@ class CoeffField:
 
 
 def constant_coeff(A, b=None, c=None):
-    """Builder for a spatially constant coefficient field."""
+    """Builder for a spatially constant coefficient field; the spectrum of
+    A is computed once, here."""
     A = np.asarray(A, dtype=float)
+    spectrum = np.linalg.eigvalsh(A)
 
-    def build(grid, spectrum=None):
+    def build(grid):
         nuk = int(np.count_nonzero(grid.interior))
         AA = np.broadcast_to(A, (nuk,) + A.shape).copy()
         bb = (np.broadcast_to(np.asarray(b, dtype=float),
@@ -277,24 +276,24 @@ def constant_coeff(A, b=None, c=None):
 
 
 def identity_coeff():
-    def build(grid, spectrum=None):
-        return constant_coeff(np.eye(grid.dim))(grid, spectrum)
+    def build(grid):
+        return constant_coeff(np.eye(grid.dim))(grid)
     return build
 
 
 def coeff_gilbarg_serrin(n, alpha):
-    """Builder for A(x) = I + (-1 + (n-1)/(1-alpha)) x x^T / |x|^2.
+    """Builder for A(x) = I + beta x x^T / |x|^2, where 1 + beta is the
+    radial eigenvalue of gs_spectrum(n, alpha), the spectrum of A(x).
 
     A(0) = I (the singularity is removable for all residual tests, which
     stay away from the origin; ball grids never place a node there).  A
     lattice with a node at the origin therefore has no single spectrum,
-    and the field keeps no declared one.
+    and the field keeps none.
     """
-    if alpha >= 1:
-        raise ValueError("alpha must be < 1")
-    beta = -1.0 + (n - 1) / (1.0 - alpha)
+    spectrum = gs_spectrum(n, alpha)
+    beta = spectrum[-1] - 1.0
 
-    def build(grid, spectrum=None):
+    def build(grid):
         if grid.dim != n:
             raise ValueError("grid dimension mismatch")
         x = grid.points(grid.interior)

@@ -139,10 +139,11 @@ class BoundReport:
 def rho_star_field(coeff, k, mask):
     """Per-node rho*_k of the coefficient spectrum over mask.
 
-    The field's declared spectrum, or else each node's eigvalsh row, goes
-    to symcone.rho_star_rows, and the values are broadcast (read-only) to
-    the nodes.  Logs one DEBUG record (path, nodes, optimizer calls,
-    elapsed seconds, spectrum source).  Raises identifying the first
+    The spectrum the field's builder derived (spectrum=declared), or else
+    each node's eigvalsh row (spectrum=lattice), goes to
+    symcone.rho_star_rows, and the values are broadcast (read-only) to the
+    nodes.  Logs one DEBUG record (path, nodes, optimizer calls, elapsed
+    seconds, spectrum source).  Raises identifying the first
     offending node if rho*_k <= 0 anywhere.
     """
     t0 = time.perf_counter()

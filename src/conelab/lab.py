@@ -93,6 +93,7 @@ def fit_loglog(xs, ys, npts=5):
         raise ValueError("need at least two points for a slope")
     xc = x - x.mean()
     sxx = float(xc @ xc)
+    _require(sxx > 0, "need two distinct points for a slope")
     slope = float(xc @ (y - y.mean())) / sxx
     if m == 2:
         return slope, 0.0
@@ -247,29 +248,25 @@ def _check_param(value, ndim, n):
 
 @dataclass(frozen=True)
 class Kind:
-    """One operator or source type: its builder, its required and optional
-    params (name -> NUMBER, VECTOR or MATRIX), and for an operator the
-    spectrum of A, which is the same at every point for each operator
-    type."""
+    """One operator or source type: its builder and its required and
+    optional params (name -> NUMBER, VECTOR or MATRIX).  An operator's
+    builder is an fd coefficient builder, which derives the spectrum of
+    the A it builds."""
     build: Callable
     required: dict = field(default_factory=dict)
     optional: dict = field(default_factory=dict)
-    spectrum: Callable | None = None
 
 
 # operator type -> Kind; an operator's params sit beside its "type"
 OPERATORS = {
-    "identity": Kind(lambda n, op: fd.identity_coeff(),
-                     spectrum=lambda n, op: np.ones(n)),
+    "identity": Kind(lambda n, op: fd.identity_coeff()),
     "gilbarg_serrin": Kind(
         lambda n, op: fd.coeff_gilbarg_serrin(n, float(op["alpha"])),
-        required={"alpha": NUMBER},
-        spectrum=lambda n, op: symcone.gs_spectrum(n, float(op["alpha"]))),
+        required={"alpha": NUMBER}),
     "constant": Kind(
         lambda n, op: fd.constant_coeff(op["matrix"], op.get("b"),
                                         op.get("c")),
-        required={"matrix": MATRIX}, optional={"b": VECTOR, "c": NUMBER},
-        spectrum=lambda n, op: np.linalg.eigvalsh(op["matrix"])[::-1]),
+        required={"matrix": MATRIX}, optional={"b": VECTOR, "c": NUMBER}),
 }
 
 
@@ -384,11 +381,8 @@ def one_spacing(job, cfg):
 
 
 def coeff_builder(cfg):
-    """Builder (grid -> CoeffField) of the config's operator; each field it
-    builds carries the operator's declared spectrum."""
-    kind, op = OPERATORS[cfg.operator["type"]], cfg.operator
-    build, spectrum = kind.build(cfg.n, op), kind.spectrum(cfg.n, op)
-    return lambda grid: build(grid, spectrum)
+    """Builder (grid -> CoeffField) of the config's operator."""
+    return OPERATORS[cfg.operator["type"]].build(cfg.n, cfg.operator)
 
 
 def rhs_field(cfg, grid):
@@ -470,7 +464,7 @@ def sharpness_family(n, k, eps):
     """w_eps = 1 - u_{alpha,eps} at the critical power alpha = 2 - n/k:
     returns (profile of L w_eps, sup w_eps)."""
     alpha = 2.0 - n / k
-    beta = -1.0 + (n - 1) / (1.0 - alpha)
+    beta = symcone.gs_spectrum(n, alpha)[-1] - 1.0
     prof = radial.mollified_power_profile(alpha, eps)
     lu = radial.radial_apply(n, beta, prof)
     # L w = -L u; the norm is sign-insensitive
@@ -482,8 +476,10 @@ def exp_sharpness(cfg, rep):
     """Exponent optimality: at alpha = 2 - n/k the norm ||L w_eps||_{L^q}
     decays like eps^{n/q - n/k} while sup w_eps -> 1."""
     n, k = cfg.n, cfg.k
-    if 2 * k <= n:
-        raise ValueError("sharpness family requires k > n/2")
+    # at k = n the critical power is 1 and the anisotropy (n-1)/(1-alpha)
+    # of the family's operator is infinite
+    _require(n < 2 * k and k < n, f"field 'k': the sharpness family "
+             f"requires k > n/2 and k < n, got k={k} for n={n}")
     families = [sharpness_family(n, k, eps) for eps in cfg.eps_ladder]
     sups = [sup_w for _, sup_w in families]
     for q in cfg.q_list or (cfg.q,):
@@ -640,10 +636,7 @@ def exp_w22(cfg, rep):
     for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)
         num = fd.w22_seminorm(u, inner)
-        rho = green.rho_star_field(coeff, 2, grid.interior)
-        vals = np.zeros(grid.shape)
-        vals[grid.interior] = f.values[grid.interior] / rho
-        den = fd.lq_norm(fd.ScalarField(grid, vals), 2.0)
+        den = green.theorem_rhs(f, coeff, 2, 2.0, grid.interior, 1.0).norm
         if den <= 1e-14:
             rep.runs.append({"h": h, "num": num, "den": den,
                              "ratio": None, "degenerate": True})

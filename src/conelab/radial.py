@@ -8,7 +8,7 @@ Lu(r) = (1 + beta) u''(r) + (n - 1) u'(r)/r.
 from __future__ import annotations
 
 import warnings
-from math import comb, gamma, pi
+from math import comb, gamma, isfinite, pi
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -77,12 +77,19 @@ def radial_lq_norm(prof, n, q, r_range):
     a, b = sorted(map(float, r_range))
     points = [c for c in prof.breakpoints if a < c < b] or None
     surf = n * unit_ball_volume(n)
+
+    def integrand(r):
+        val = np.abs(prof.u(r)) ** q * surf * r ** (n - 1)
+        # quad's behaviour on a nan is undefined (it can crash the process)
+        if not isfinite(val):
+            raise NumericError(f"integrand over [{a}, {b}] is "
+                               f"{float(val)} at r={r}")
+        return val
+
     with warnings.catch_warnings():
         # convergence is gated on the returned error estimate below
         warnings.simplefilter("ignore", IntegrationWarning)
-        total, err = quad(lambda r: np.abs(prof.u(r)) ** q
-                          * surf * r ** (n - 1),
-                          a, b, points=points, limit=200,
+        total, err = quad(integrand, a, b, points=points, limit=200,
                           epsrel=QUAD_REL_TOL, epsabs=0.0)
     if err > 1e-7 * max(abs(total), 1e-300) + 1e-13:
         raise NumericError(f"quadrature did not converge on "
@@ -113,13 +120,17 @@ def mollified_power_profile(alpha, eps):
     eps = float(eps)
     if eps <= 0:
         raise ValueError("need eps > 0")
-    if alpha == 0.0:
-        core_a, core_c = 0.5 / eps ** 2, np.log(eps) - 0.5
-        outer = power_profile(0.0)
-    else:
-        core_a = (alpha / 2.0) * eps ** (alpha - 2)
-        core_c = (1.0 - alpha / 2.0) * eps ** alpha
-        outer = power_profile(alpha)
+    try:
+        if alpha == 0.0:
+            core_a, core_c = 0.5 / eps ** 2, np.log(eps) - 0.5
+            outer = power_profile(0.0)
+        else:
+            core_a = (alpha / 2.0) * eps ** (alpha - 2)
+            core_c = (1.0 - alpha / 2.0) * eps ** alpha
+            outer = power_profile(alpha)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericError(f"core of the mollified profile out of float "
+                           f"range at eps={eps!r}") from None
 
     def u(r):
         r = np.asarray(r, dtype=float)

@@ -348,9 +348,11 @@ def rho_star_rows(lam, k):
     descending first: (values, path, optimizer calls).
 
     A row outside G*_k (dual margin below -MEMBERSHIP_TOL |lam|) gets nan,
-    one within BOUNDARY_TOL |lam| of its boundary 0.  Closed forms for k in
-    {1, 2, n} (path closed_k1, closed_k2, closed_kn; no optimizer call);
-    otherwise (path optimized) rho_star_program once per bit-distinct row.
+    one within BOUNDARY_TOL |lam| of its boundary 0; G*_1, the ray of
+    (1, ..., 1), has no interior, so every row on it gets mean(lam).
+    Closed forms for k in {1, 2, n} (path closed_k1, closed_k2, closed_kn;
+    no optimizer call); otherwise (path optimized) rho_star_program once
+    per bit-distinct row.
     """
     lam = np.sort(_check_spectrum(lam, ndim=2), axis=1)[:, ::-1]
     n = lam.shape[1]
@@ -373,7 +375,8 @@ def rho_star_rows(lam, k):
         vals = np.prod(np.maximum(lam, 0.0), axis=1) ** (1.0 / n)
     margin = _closed_margins(lam, k)
     scale = np.linalg.norm(lam, axis=1)
-    vals = np.where(margin < BOUNDARY_TOL * scale, 0.0, vals)
+    if k > 1:
+        vals = np.where(margin < BOUNDARY_TOL * scale, 0.0, vals)
     return np.where(margin < -MEMBERSHIP_TOL * scale, np.nan, vals), path, 0
 
 

@@ -263,8 +263,8 @@ def test_criterion_06_explicit_constant_bound(tmp_path):
 
 def test_battery_rho_star_defined_once():
     # for each (operator, k) of the battery: the lattice field, the stacked
-    # evaluation and a one-row call on the operator's own spectrum order
-    # give the same bits
+    # evaluation and a one-row call on the spectrum in ascending order give
+    # the same bits
     seen = set()
     for job in battery_configs():
         n, k, op = job["n"], job["k"], job.get("operator",
@@ -278,10 +278,31 @@ def test_battery_rho_star_defined_once():
         coeff = lab.coeff_builder(cfg)(grid)
         field = green.rho_star_field(coeff, k, grid.interior)
         rows, _, _ = symcone.rho_star_rows(coeff.spectrum[None], k)
-        one = symcone.rho_star(lab.OPERATORS[op["type"]].spectrum(n, op), k)
+        one = symcone.rho_star(coeff.spectrum[::-1], k)
         assert rows[0] > 0.0 and rows[0] == one, (n, k, op)
         assert np.array_equal(field, np.full(len(field), one)), (n, k, op)
     assert len(seen) >= 10
+
+
+def test_battery_builder_spectrum_is_the_declared_one():
+    # each builder's own spectrum has the bits of the one the operator
+    # table used to declare beside it, so no rho*_k of the battery moves
+    declared = {
+        "identity": lambda n, op: np.ones(n),
+        "gilbarg_serrin": lambda n, op: symcone.gs_spectrum(
+            n, float(op["alpha"])),
+        "constant": lambda n, op: np.linalg.eigvalsh(op["matrix"])[::-1]}
+    seen = set()
+    for job in battery_configs():
+        n, op = job["n"], job.get("operator", {"type": "identity"})
+        cfg = lab.parse_config({key: v for key, v in job.items()
+                                if key != "exp"})
+        grid = fd.build_grid(fd.Domain.ball(np.zeros(n), 1.0), 0.25)
+        spectrum = lab.coeff_builder(cfg)(grid).spectrum
+        want = np.sort(declared[op["type"]](n, op))[::-1]
+        assert spectrum.tobytes() == want.tobytes(), (n, op)
+        seen.add(op["type"])
+    assert seen == set(declared)
 
 
 def test_battery_config_echo_round_trip():

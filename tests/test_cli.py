@@ -92,6 +92,17 @@ class TestConeCommands:
                                 "0.83245446,0.7382765,0.96295027", "--k", "4")
         assert code == 2 and "dual cone G*_4" in err
 
+    def test_rho_star_k1_on_the_diagonal_ray(self, capsys):
+        # G*_1 is the ray of (1, ..., 1), where rho*_1 is mean(lambda)
+        code, out = run_cli(capsys, "cone", "rho-star", "--lambda", "2,2,2",
+                            "--k", "1")
+        assert code == 0 and json.loads(out)["rho_star"] == 2.0
+
+    def test_rho_star_k1_off_the_diagonal_ray(self, capsys):
+        code, err = run_failing(capsys, "cone", "rho-star", "--lambda",
+                                "1,2,2", "--k", "1")
+        assert code == 2 and "dual cone G*_1" in err
+
 
 class TestSolveCommand:
     def test_solve_writes_fields(self, capsys, tmp_path):
@@ -207,6 +218,31 @@ class TestExpCommand:
                               str(p), "--out", str(tmp_path))
         assert code == 2
 
+    def test_sharpness_at_k_equals_n_names_k(self, capsys, tmp_path):
+        # k = n makes the critical power 1 and the anisotropy infinite
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(SHARPNESS_K_EQUALS_N))
+        code, err = run_failing(capsys, "exp", "sharpness", "--config",
+                                str(p), "--out", str(tmp_path / "rep"))
+        assert code == 2 and err.startswith("error: field 'k'")
+        assert not (tmp_path / "rep").exists()
+
+    def test_local_max_at_k1_runs(self, capsys, tmp_path):
+        # rho*_1 of the identity is 1 at every node
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "n": 3, "k": 1, "q": 2.0, "mode": "exploratory",
+            "h": [0.25, 0.2],
+            "f": {"type": "constant", "params": {"value": 1.0}}}))
+        code, _ = run_cli(capsys, "exp", "local_max", "--config", str(p),
+                          "--out", str(tmp_path / "rep"))
+        assert code == 0
+        d = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert all(run["f_term"] > 0 for run in d["runs"])
+
+
+SHARPNESS_K_EQUALS_N = {"n": 3, "k": 3, "q": 3.0}
+
 
 class TestSuiteCommand:
     def test_suite_runs_and_exits_zero(self, capsys, tmp_path):
@@ -242,6 +278,25 @@ class TestSuiteCommand:
         assert captured.err == ("error: explicit-constant mode requires "
                                 "k > n/2\n")
         assert (tmp_path / "suite" / "lg" / "report.json").exists()
+
+    def test_sharpness_at_k_equals_n_keeps_the_other_reports(
+            self, capsys, tmp_path):
+        battery = {"experiments": [
+            {"exp": "sharpness", "name": "k_equals_n",
+             **SHARPNESS_K_EQUALS_N},
+            {"exp": "log_family", "name": "lg", "n": 4, "k": 2, "q": 2.0,
+             "mode": "exploratory", "eps_ladder": [0.125, 0.0625, 0.03125]}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        code = cli.main(["suite", "--config", str(p),
+                         "--out", str(tmp_path / "suite")])
+        d = json.loads(capsys.readouterr().out)
+        assert code == 2 and d["exit_code"] == 2
+        assert [(r["name"], r["passed"]) for r in d["reports"]] == [
+            ("k_equals_n", False), ("lg", True)]
+        assert d["reports"][0]["error"].startswith("ValueError: field 'k'")
+        assert (tmp_path / "suite" / "lg" / "report.json").exists()
+        assert not (tmp_path / "suite" / "k_equals_n").exists()
 
     def test_bad_battery(self, capsys, tmp_path):
         p = tmp_path / "battery.json"
@@ -330,6 +385,48 @@ def test_gilbarg_serrin_configs_exit_with_a_code(cfg):
                 code = cli.main(["exp", exp, "--config", path,
                                  "--out", os.path.join(tmp, exp)])
             assert code in (0, 1, 2, 3), (exp, code)
+
+
+@st.composite
+def radial_configs(draw):
+    """(experiment, config) for sharpness or log_family that parse_config
+    accepts, eps ladders with repeats and extreme values included."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n))
+    mode = draw(st.sampled_from(["strict", "exploratory"]))
+    if mode == "strict":
+        q = (float(k) if 2 * k > n
+             else draw(st.floats(n / 2, 8.0, exclude_min=True)))
+    else:
+        q = draw(st.sampled_from([n / 2, float(k)]) | st.floats(1.0, 8.0))
+    cfg = {"n": n, "k": k, "q": q, "mode": mode}
+    exp = draw(st.sampled_from(["sharpness", "log_family"]))
+    if draw(st.booleans()):
+        cfg["eps_ladder"] = draw(st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=1, max_size=5))
+    if exp == "sharpness" and draw(st.booleans()):
+        cfg["q_list"] = draw(st.lists(st.floats(1.0, 8.0), min_size=1,
+                                      max_size=3))
+    return exp, cfg
+
+
+@settings(deadline=None, max_examples=120)
+@given(job=radial_configs())
+def test_radial_configs_exit_with_a_code(job):
+    exp, cfg = job
+    lab.parse_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(["exp", exp, "--config", path,
+                             "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1, 2, 3), (exp, cfg, code)
 
 
 class TestUnreadableConfig:

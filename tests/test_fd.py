@@ -122,7 +122,7 @@ class TestCoeff:
 
     def test_declared_spectrum_broadcast_without_eigvalsh(self, monkeypatch):
         g = fd.build_grid(unit_ball(3), 0.25)
-        coeff = fd.coeff_gilbarg_serrin(3, 0.5)(g, [1.0, 1.0, 4.0])
+        coeff = fd.coeff_gilbarg_serrin(3, 0.5)(g)
         assert np.array_equal(coeff.spectrum, [4.0, 1.0, 1.0])
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         mask = fd.interior_eroded(g, 1)
@@ -131,11 +131,6 @@ class TestCoeff:
         assert np.all(lam == coeff.spectrum)
         with pytest.raises(ValueError, match="interior"):
             coeff.spectra(g.active)
-
-    def test_declared_spectrum_shape_checked(self):
-        g = fd.build_grid(unit_ball(3), 0.25)
-        with pytest.raises(ValueError, match="declared spectrum"):
-            fd.identity_coeff()(g, np.ones(2))
 
 
 class TestCubeMorph:

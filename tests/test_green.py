@@ -155,7 +155,7 @@ class TestRhoStarField:
     def test_outside_dual_cone_identifies_node(self):
         g = ball_grid(3, 0.2)
         A = np.diag([1.0, 1.0, 5.0])
-        coeff = fd.constant_coeff(A)(g)
+        coeff = fd.CoeffField(g, fd.constant_coeff(A)(g).A)
         with pytest.raises(ValueError, match="node"):
             rho_star_field(coeff, 2, g.interior)
 
@@ -168,7 +168,7 @@ class TestRhoStarField:
 
 
 class TestRhoStarFieldDeclared:
-    """A declared spectrum is evaluated once; on a constant operator its
+    """A builder's spectrum is evaluated once; on a constant operator its
     bits are the eigvalsh rows, so every path gives the lattice values."""
 
     @pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3)])
@@ -177,11 +177,11 @@ class TestRhoStarFieldDeclared:
         A = np.eye(n) * 2.0
         A[0, 1] = A[1, 0] = 0.1
         A[-1, -1] = 1.5
-        build = fd.constant_coeff(A)
+        built = fd.constant_coeff(A)(g)
         with caplog.at_level(logging.DEBUG, "conelab.green"):
-            lattice = rho_star_field(build(g), k, g.interior)
-            declared = rho_star_field(
-                build(g, np.linalg.eigvalsh(A)[::-1]), k, g.interior)
+            lattice = rho_star_field(fd.CoeffField(g, built.A), k,
+                                     g.interior)
+            declared = rho_star_field(built, k, g.interior)
         assert np.array_equal(declared, lattice)
         lattice_rec, declared_rec = caplog.messages
         assert "spectrum=lattice" in lattice_rec
@@ -192,7 +192,8 @@ class TestRhoStarFieldDeclared:
     def test_outside_dual_cone_names_first_node(self):
         g = ball_grid(3, 0.25)
         A = np.diag([1.0, 1.0, 5.0])
-        coeff = fd.constant_coeff(A)(g, np.diag(A))
+        coeff = fd.constant_coeff(A)(g)
+        assert coeff.spectrum is not None
         node = tuple(np.argwhere(g.interior)[0].tolist())
         with pytest.raises(ValueError, match=re.escape(f"node {node}")):
             rho_star_field(coeff, 2, g.interior)
@@ -208,7 +209,7 @@ class TestRhoStarFieldBoundary:
     def test_near_boundary_is_zero_and_rejected(self, lam, k):
         assert symcone.rho_star(lam, k) == 0.0
         g = ball_grid(3, 0.25)
-        coeff = fd.constant_coeff(np.diag(lam))(g)
+        coeff = fd.CoeffField(g, fd.constant_coeff(np.diag(lam))(g).A)
         node = tuple(np.argwhere(g.interior)[0].tolist())
         with pytest.raises(ValueError, match=re.escape(
                 f"rho*_{k} <= 0 at node {node}")):
@@ -220,8 +221,10 @@ class TestRhoStarFieldOptimized:
 
     @pytest.fixture(scope="class")
     def gs_lattice(self):
+        # the field without the builder's spectrum: eigvalsh per node
         g = ball_grid(4, 0.25)
-        return fd.coeff_gilbarg_serrin(4, -0.3)(g), g.interior
+        A = fd.coeff_gilbarg_serrin(4, -0.3)(g).A
+        return fd.CoeffField(g, A), g.interior
 
     def test_matches_per_node_loop(self, gs_lattice):
         coeff, mask = gs_lattice

@@ -183,14 +183,14 @@ class TestConfigParsing:
 
 class TestConstantOperator:
     def test_declared_spectrum_is_the_lattice_spectrum(self):
-        # coeff_builder attaches the declared spectrum, which rho_star_field
-        # evaluates in place of the lattice one
+        # the builder derives the spectrum, which rho_star_field evaluates
+        # in place of the lattice one
         A = [[1.0, 0.2, 0.0], [0.2, 1.5, -0.1], [0.0, -0.1, 2.0]]
         op = {"type": "constant", "matrix": A}
         grid = fd.build_grid(fd.Domain.ball(np.zeros(3), 1.0), 0.25)
-        declared = lab.OPERATORS["constant"].spectrum(3, op)
-        lattice = lab.OPERATORS["constant"].build(3, op)(grid).spectra()
-        assert np.array_equal(lattice, np.broadcast_to(declared,
+        coeff = lab.OPERATORS["constant"].build(3, op)(grid)
+        lattice = fd.CoeffField(grid, coeff.A).spectra()
+        assert np.array_equal(lattice, np.broadcast_to(coeff.spectrum,
                                                        lattice.shape))
 
     def test_drift_and_potential_reach_the_solve(self):
@@ -213,8 +213,8 @@ class TestConstantOperator:
 
 
 class TestDeclaredSpectrum:
-    """coeff_builder attaches OPERATORS[type].spectrum to every field it
-    builds; per-node eigvalsh stays the oracle."""
+    """Every field coeff_builder builds carries the spectrum its fd
+    builder derives; per-node eigvalsh stays the oracle."""
 
     @pytest.mark.parametrize("n, op", [
         (3, {"type": "identity"}),
@@ -283,6 +283,10 @@ class TestSlopeFitting:
     def test_two_points(self):
         slope, hw = lab.fit_loglog([1.0, 2.0], [1.0, 4.0])
         assert np.isclose(slope, 2.0) and hw == 0.0
+
+    def test_repeated_x_rejected(self):
+        with pytest.raises(ValueError, match="two distinct points"):
+            lab.fit_loglog([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
 
     def test_aitken_geometric(self):
         seq = [1 - 0.5 ** j for j in range(1, 8)]

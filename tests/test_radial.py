@@ -104,6 +104,14 @@ class TestRadialLqNorm:
         with pytest.raises(NumericError, match=r"\[0\.0, 1\.0\]"):
             radial_lq_norm(power_profile(-2.0), 3, 2.0, (0.0, 1.0))
 
+    def test_non_finite_integrand_raises(self):
+        # at eps = 3.5e-197 |Lu|^q r^3 overflows to inf * 0 = nan inside
+        # the core, which quad must never see
+        lu, _ = lab.sharpness_family(4, 3, 3.5440394116353534e-197)
+        with pytest.raises(NumericError, match=r"integrand over \[0\.0, "
+                           r"1\.0\] is nan"):
+            radial_lq_norm(lu, 4, 3.0, (0.0, 1.0))
+
     def test_integrable_singularity(self):
         # int_0^1 r^-2.8 * 4 pi r^2 dr = 20 pi: the adaptive rule must
         # resolve the r^-0.8 singularity at the origin
@@ -225,6 +233,13 @@ class TestMollifiedProfile:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             mollified_power_profile(0.5, 0.0)
+
+
+    @pytest.mark.parametrize("alpha, eps", [(2.0 - 4.0 / 3.0, 1e-300),
+                                            (0.0, 1e-200)])
+    def test_core_out_of_float_range(self, alpha, eps):
+        with pytest.raises(NumericError, match="out of float range"):
+            mollified_power_profile(alpha, eps)
 
 
 class TestSplineProfile:

@@ -16,11 +16,12 @@ Coefficients and stencil weights live on interior nodes only, in row-major
 (np.flatnonzero) order.  Every lattice difference finds each neighbour by
 flat-index arithmetic, position + offset . strides (_positions), and
 apply_L and hessian_field sum the gathered neighbour values in one
-function (_gather).  solve_dirichlet fills a fixed-width block of columns
-and values per row in ascending flat offset and builds the CSR arrays
-(indptr, indices, data) directly.  A coefficient builder maps a grid to a
-CoeffField and derives the spectrum of the A it builds from its own
-parameters, which the field keeps so that CoeffField.spectra runs no
+function (_gather).  solve_dirichlet counts each row's nonzeros first and
+then fills the CSR arrays (indptr, indices, data) in blocks of rows, each a
+fixed-width block of columns and values per row in ascending flat offset,
+so no full-size copy of the matrix is made.  A coefficient builder maps a
+grid to a CoeffField and derives the spectrum of the A it builds from its
+own parameters, which the field keeps so that CoeffField.spectra runs no
 eigvalsh.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
@@ -29,10 +30,10 @@ run (zero diagonal), does not converge, or leaves a relative residual above
 RESIDUAL_TOL, the same system is solved once more by sparse LU (spsolve);
 only a failed direct solve raises NumericError.  Each solve is logged on the
 "conelab.fd" logger: one DEBUG record with the path taken, the unknowns, nnz,
-the iteration count, the final relative residual, the seconds spent
-assembling and solving, and the number of interior nodes with a wrong-sign
-off-diagonal weight; and a WARNING for every fallback to the direct solver
-with its reason.
+the seconds spent assembling, the iteration count, the final relative
+residual, the seconds spent in all, and the number of interior nodes with a
+wrong-sign off-diagonal weight; and a WARNING for every fallback to the
+direct solver with its reason.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .symcone import NumericError, gs_spectrum
 MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
 SOLVE_RTOL = 1e-10      # relative tolerance BiCGSTAB iterates to
+_BLOCK_ROWS = 8192      # interior rows _assemble fills per block
 # the keys of a domain's dict beside "kind": the arguments of Domain.<kind>
 DOMAIN_KEYS = {"ball": ("center", "radius"), "box": ("lo", "hi")}
 
@@ -399,29 +401,32 @@ def apply_L(u, coeff):
     return ScalarField(grid, out)
 
 
-def _stencil(coeff):
+def _stencil(coeff, rows=slice(None)):
     """(offset, weight) pairs of the assembled L in _difference_table
-    order, one (nuk,) weight array per offset.  Per offset the A-weighted
-    (b-weighted) coefficients over the scale are summed and divided once by
-    h^2 (h); the scales are powers of two, so that division is exact.
+    order, one weight array per offset over the interior nodes of the slice
+    rows (default all nuk).  Per offset the A-weighted (b-weighted)
+    coefficients over the scale are summed and divided once by h^2 (h); the
+    scales are powers of two, so that division is exact.  Each weight of a
+    node depends on that node's coefficients only, so a slice of rows gets
+    the same bits as the same rows of the whole.
     """
     n, h = coeff.grid.dim, coeff.grid.h
     second, first = _difference_table(n)
     acc = {}
     for i, j, scale, terms in second:
         # A : D^2 counts each off-diagonal pair twice
-        a = coeff.A[:, i, j] * ((1 if i == j else 2) / scale)
+        a = coeff.A[rows, i, j] * ((1 if i == j else 2) / scale)
         for off, k in terms:
             t = a if k == 1 else k * a
             acc[off] = acc[off] + t if off in acc else t
     weights = {off: s / h ** 2 for off, s in acc.items()}
     if coeff.b is not None:
         for i, scale, terms in first:
-            beta = coeff.b[:, i] / scale
+            beta = coeff.b[rows, i] / scale
             for off, k in terms:
                 weights[off] = weights[off] + k * beta / h
     if coeff.c is not None:
-        weights[(0,) * n] = weights[(0,) * n] + coeff.c
+        weights[(0,) * n] = weights[(0,) * n] + coeff.c[rows]
     return list(weights.items())
 
 
@@ -479,6 +484,7 @@ def solve_dirichlet(coeff, f, g):
     t0 = time.perf_counter()
     grid = f.grid
     A, rhs, n_wrong = _assemble(coeff, f, g)
+    assembled = time.perf_counter() - t0
     nuk = len(rhs)
     if n_wrong:
         warnings.warn(f"off-diagonal stencil weight with wrong sign at "
@@ -486,8 +492,9 @@ def solve_dirichlet(coeff, f, g):
                       f"maximum principle may fail",
                       MonotonicityWarning, stacklevel=2)
     sol, path, iterations, res = _solve_linear(A, rhs)
-    log.debug("solve: path=%s unknowns=%d nnz=%d iterations=%d rel_res=%.2e "
-              "elapsed=%.4f wrong_sign=%d", path, nuk, A.nnz, iterations, res,
+    log.debug("solve: path=%s unknowns=%d nnz=%d assemble=%.4f "
+              "iterations=%d rel_res=%.2e elapsed=%.4f wrong_sign=%d", path,
+              nuk, A.nnz, assembled, iterations, res,
               time.perf_counter() - t0, n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)
     out[grid.interior] = sol
@@ -497,7 +504,18 @@ def solve_dirichlet(coeff, f, g):
 def _assemble(coeff, f, g):
     """CSR matrix and right-hand side of the interior system of
     solve_dirichlet, and the number of interior nodes with a wrong-sign
-    off-diagonal weight."""
+    off-diagonal weight.
+
+    indptr comes first, from the neighbour index alone, so data and indices
+    are allocated at their exact nnz.  The rows are then filled in blocks of
+    _BLOCK_ROWS: _stencil weights the block's rows only, a (rows, width)
+    block of columns and values takes each weight in ascending flat offset
+    (the sorted column order of a canonical CSR row), the boundary terms
+    leave the right-hand side in _difference_table order, and the interior
+    columns are taken straight into the block's slice of the CSR arrays.
+    So the peak holds the CSR and one block, not a full-size block and
+    every weight array at once.
+    """
     grid = f.grid
     interior = grid.interior
     pos, strides = _positions(interior)
@@ -507,33 +525,64 @@ def _assemble(coeff, f, g):
     boundary = grid.boundary.ravel()
     gflat = g.values.ravel()
 
-    stencil = _stencil(coeff)
-    flat = [int(np.dot(off, strides)) for off, _ in stencil]
-    # one column per offset, in ascending flat offset: the sorted column
-    # order of a canonical CSR row
-    cols = np.empty((nuk, len(stencil)), dtype=np.int32)
-    vals = np.empty((nuk, len(stencil)))
+    # every offset of the stencil is a term of a second difference; its
+    # slot in a row is its rank in ascending flat offset
+    offsets = list(dict.fromkeys(
+        off for *_, terms in _difference_table(grid.dim)[0]
+        for off, _ in terms))
+    flat = dict(zip(offsets, (np.array(offsets) @ strides).tolist()))
+    slot = {off: s for s, off in enumerate(sorted(flat, key=flat.get))}
+    indptr = _indptr(index, pos, flat.values())
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
     rhs = -f.values[interior].astype(float)
-    wrong_sign = np.zeros(nuk, dtype=bool)
-    for d, slot in zip(flat, np.argsort(np.argsort(flat))):
-        # each weight array is freed once it is in the block
-        off, w = stencil.pop(0)
-        if any(off):
-            wrong_sign |= w < -1e-12
-        nb = pos + d
-        cols[:, slot] = index[nb]
-        vals[:, slot] = w
-        onb = boundary[nb]
-        if np.any(onb):
-            rhs[onb] -= w[onb] * gflat[nb[onb]]
-    # neighbours on the boundary (column -1) leave the matrix; explicit
-    # zero weights stay
-    inner = cols >= 0
-    indptr = np.zeros(nuk + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(inner, axis=1), out=indptr[1:])
-    A = sparse.csr_matrix((vals[inner], cols[inner], indptr),
-                          shape=(nuk, nuk))
-    return A, rhs, int(np.count_nonzero(wrong_sign))
+    wrong_sign = 0
+    for r0 in range(0, nuk, _BLOCK_ROWS):
+        rows = slice(r0, min(r0 + _BLOCK_ROWS, nuk))
+        # the weights first: _stencil's own peak then holds no block
+        stencil = _stencil(coeff, rows)
+        p = pos[rows]
+        rhs_rows = rhs[rows]    # a view: writes land in rhs
+        cols = np.empty((p.size, len(flat)), dtype=np.int32)
+        vals = np.empty((p.size, len(flat)))
+        wrong = np.zeros(p.size, dtype=bool)
+        while stencil:
+            # each weight array is freed once it is in the block
+            off, w = stencil.pop(0)
+            if any(off):
+                wrong |= w < -1e-12
+            nb = p + flat[off]
+            cols[:, slot[off]] = index[nb]
+            vals[:, slot[off]] = w
+            onb = boundary[nb]
+            if np.any(onb):
+                rhs_rows[onb] -= w[onb] * gflat[nb[onb]]
+        wrong_sign += int(np.count_nonzero(wrong))
+        inner = np.flatnonzero(cols >= 0)
+        out = slice(indptr[rows.start], indptr[rows.stop])
+        # mode "clip" takes straight into out, which "raise" would buffer
+        np.take(cols, inner, out=indices[out], mode="clip")
+        np.take(vals, inner, out=data[out], mode="clip")
+        # free this block before the next one's weights are made
+        del cols, vals, inner
+    A = sparse.csr_matrix((data, indices, indptr), shape=(nuk, nuk))
+    return A, rhs, wrong_sign
+
+
+def _indptr(index, pos, flat):
+    """CSR indptr of the rows at the flat positions pos: a row holds the
+    offsets d of flat whose neighbour index[p + d] is an unknown (>= 0).
+    Neighbours on the boundary (index -1) leave the matrix; explicit zero
+    weights stay."""
+    inside = index >= 0
+    count = np.zeros(index.size, dtype=np.int32)
+    for d in flat:
+        # count[p] += inside[p + d], as one slice of the box per offset
+        count[max(-d, 0):index.size - max(d, 0)] += (
+            inside[max(d, 0):index.size - max(-d, 0)])
+    indptr = np.zeros(pos.size + 1, dtype=np.int32)
+    np.cumsum(count[pos], out=indptr[1:])
+    return indptr
 
 
 def lq_norm(f, q, mask=None):

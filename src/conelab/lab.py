@@ -472,6 +472,13 @@ def sharpness_family(n, k, eps):
     return lu, sup_w
 
 
+def _require_rungs(cfg, least, why):
+    """ValueError naming eps_ladder unless it holds least distinct values."""
+    _require(len(set(cfg.eps_ladder)) >= least,
+             f"field 'eps_ladder': need at least {least} distinct values, "
+             f"{why}; got {list(cfg.eps_ladder)}")
+
+
 def exp_sharpness(cfg, rep):
     """Exponent optimality: at alpha = 2 - n/k the norm ||L w_eps||_{L^q}
     decays like eps^{n/q - n/k} while sup w_eps -> 1."""
@@ -480,6 +487,8 @@ def exp_sharpness(cfg, rep):
     # of the family's operator is infinite
     _require(n < 2 * k and k < n, f"field 'k': the sharpness family "
              f"requires k > n/2 and k < n, got k={k} for n={n}")
+    _require_rungs(cfg, 3, "as Aitken extrapolation of sup w_eps takes "
+                   "three")
     families = [sharpness_family(n, k, eps) for eps in cfg.eps_ladder]
     sups = [sup_w for _, sup_w in families]
     for q in cfg.q_list or (cfg.q,):
@@ -515,6 +524,8 @@ def exp_log_family(cfg, rep):
     n = cfg.n
     if cfg.q != n / 2:
         raise ValueError("log family runs at q = n/2")
+    _require_rungs(cfg, 2, "as inf u_eps / log eps is extrapolated along a "
+                   "line")
     target = 2.0 * (n - 1) * radial.unit_ball_volume(n) ** (2.0 / n)
     norms, infs = [], []
     rs = np.linspace(0.0, 1.0, 20001)

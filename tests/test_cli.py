@@ -462,6 +462,27 @@ class TestUnreadableConfig:
         assert "Traceback" not in proc.stderr
 
 
+class TestShortEpsLadder:
+    # log_family extrapolates along a line through two or more eps, and
+    # sharpness extrapolates sup w_eps from its last three
+    @pytest.mark.parametrize("exp, cfg", [
+        ("log_family", {"n": 4, "k": 2, "q": 2.0, "mode": "exploratory",
+                        "eps_ladder": [0.5, 0.5, 0.5]}),
+        ("log_family", {"n": 4, "k": 2, "q": 2.0, "mode": "exploratory",
+                        "eps_ladder": [0.25]}),
+        ("sharpness", {"n": 3, "k": 2, "q": 2.0,
+                       "eps_ladder": [0.5, 0.25]}),
+    ], ids=["log_repeated", "log_single", "sharpness_two"])
+    def test_exits_2_naming_the_field(self, capsys, tmp_path, exp, cfg):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, err = run_failing(capsys, "exp", exp, "--config", str(p),
+                                "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "field 'eps_ladder': need at least" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestLogEnvironment:
     # n=4, k=3 takes the optimized rho*_k path; the identity operator has
     # one spectrum, so the lattice needs one optimizer call

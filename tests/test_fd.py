@@ -1,5 +1,6 @@
 import contextlib
 import logging
+import re
 import tracemalloc
 import warnings
 
@@ -358,6 +359,14 @@ class TestSolverPolicy:
         assert 0 < iters < 100
         assert float(msg.split("elapsed=")[1].split()[0]) >= 0.0
 
+    def test_debug_record_times_assembly(self, caplog):
+        g, f, bc = _policy_problem()
+        _, recs = _solve_records(caplog, fd.identity_coeff()(g), f, bc)
+        msg = recs[-1].getMessage()
+        assert re.search(r" nnz=\d+ assemble=\d+\.\d{4} iterations=\d+ ", msg)
+        assemble = float(msg.split("assemble=")[1].split()[0])
+        assert 0.0 <= assemble <= float(msg.split("elapsed=")[1].split()[0])
+
     @pytest.mark.parametrize("bicgstab, reason", [
         (_failed_bicgstab, "info=1"),
         (lambda A, b, **kw: (np.ones_like(b), 0), "rel res="),
@@ -466,19 +475,38 @@ def _solved_systems(monkeypatch):
     return seen
 
 
-class TestAssemblyOracle:
-    """The flat-index assembly is bit-equal to the COO reference."""
+ORACLE_CASES = pytest.mark.parametrize("domain, h, builder, warns", [
+    # the anisotropic case whose cross stencil is not monotone
+    (unit_box(2), 1 / 8, fd.constant_coeff(
+        [[1.0, 0.2], [0.2, 1.5]], b=[1.0, -2.0], c=-3.0), True),
+    (3, 1 / 8, fd.coeff_gilbarg_serrin(3, 0.25), True),
+    (4, 1 / 5, fd.coeff_gilbarg_serrin(4, -0.3), True),
+    (fd.Domain.ball([0.3, -0.2, 0.1], 0.7), 1 / 10, fd.identity_coeff(),
+     False),
+])
 
-    @pytest.mark.parametrize("domain, h, builder, warns", [
-        # the anisotropic case whose cross stencil is not monotone
-        (unit_box(2), 1 / 8, fd.constant_coeff(
-            [[1.0, 0.2], [0.2, 1.5]], b=[1.0, -2.0], c=-3.0), True),
-        (3, 1 / 8, fd.coeff_gilbarg_serrin(3, 0.25), True),
-        (4, 1 / 5, fd.coeff_gilbarg_serrin(4, -0.3), True),
-        (fd.Domain.ball([0.3, -0.2, 0.1], 0.7), 1 / 10, fd.identity_coeff(),
-         False),
-    ])
+
+class TestAssemblyOracle:
+    """The flat-index assembly is bit-equal to the COO reference, in one
+    block of rows and in many."""
+
+    @ORACLE_CASES
     def test_bit_equal(self, caplog, monkeypatch, domain, h, builder, warns):
+        nuk = self._check(caplog, monkeypatch, domain, h, builder, warns)
+        assert nuk <= fd._BLOCK_ROWS
+
+    @ORACLE_CASES
+    def test_bit_equal_across_blocks(self, caplog, monkeypatch, domain, h,
+                                     builder, warns):
+        # 11 rows a block: a ragged last block on every case, and block
+        # edges between rows that touch the boundary
+        monkeypatch.setattr(fd, "_BLOCK_ROWS", 11)
+        nuk = self._check(caplog, monkeypatch, domain, h, builder, warns)
+        assert nuk > 11 and nuk % 11
+
+    @staticmethod
+    def _check(caplog, monkeypatch, domain, h, builder, warns):
+        """Compare the solved system with the reference; returns nuk."""
         g, f, bc = _policy_problem(domain, h)
         assert np.any(bc.values[g.boundary] != 0)
         coeff = builder(g)
@@ -497,6 +525,7 @@ class TestAssemblyOracle:
         assert (ref_wrong > 0) == warns
         assert sum(w.category is fd.MonotonicityWarning
                    for w in caught) == warns
+        return len(rhs)
 
 
 def _wavy(x):
@@ -544,11 +573,16 @@ class TestGatherOracle:
 
 
 class TestMemoryBudget:
-    """tracemalloc peaks on the n = 3 unit ball at h = 1/16 (15,408
-    unknowns).  Full-box coefficient arrays and per-offset full-box copies
+    """tracemalloc peaks on the n = 3 unit ball.  At h = 1/16 (15,408
+    unknowns), full-box coefficient arrays and per-offset full-box copies
     peak at 12x the interior coefficient bytes and 5.9x the CSR bytes;
     interior storage at 3.6x and 3.0x, and 2.3x for the CSR once the
-    assembly frees each stencil weight as it is written."""
+    assembly frees each stencil weight as it is written.  Assembly in
+    blocks of fd._BLOCK_ROWS rows, straight into CSR arrays of the exact
+    nnz, peaks at 2.1x there (two blocks, the first of 8,192 rows), and at
+    h = 1/24 (54,088 unknowns, seven blocks) at 1.4x for _assemble and
+    1.5x for solve_dirichlet, where BiCGSTAB's vectors set the peak; a
+    full-size block peaked at 2.3x at both sizes."""
 
     def test_coeff_peak(self):
         g = fd.build_grid(unit_ball(3), 1 / 16)
@@ -563,21 +597,31 @@ class TestMemoryBudget:
         assert peak <= 5 * result
         assert coeff.A.nbytes == result
 
-    def test_solve_peak(self, monkeypatch):
-        g, f, bc = _policy_problem(3, 1 / 16)
+    def test_solve_peak(self):
+        peak, csr = self._solve_peak(1 / 16, fd.solve_dirichlet)
+        assert peak <= 2.6 * csr
+
+    @pytest.mark.parametrize("stage", ["_assemble", "solve_dirichlet"])
+    def test_blocked_peak(self, stage):
+        peak, csr = self._solve_peak(1 / 24, getattr(fd, stage))
+        assert peak <= 1.6 * csr
+
+    @staticmethod
+    def _solve_peak(h, call):
+        """tracemalloc peak of call(coeff, f, g) on the gilbarg_serrin
+        problem at spacing h, and the bytes of the CSR it solves."""
+        g, f, bc = _policy_problem(3, h)
         coeff = fd.coeff_gilbarg_serrin(3, 0.25)(g)
-        seen = _solved_systems(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fd.MonotonicityWarning)
             tracemalloc.start()
             try:
-                fd.solve_dirichlet(coeff, f, bc)
+                call(coeff, f, bc)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        (A, _), = seen
-        csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        assert peak <= 2.6 * csr
+        A = fd._assemble(coeff, f, bc)[0]
+        return peak, A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 class TestNorms:

@@ -1,16 +1,16 @@
 """Grids, fields, and discrete non-divergence elliptic operators.
 
-Operators have the form Lu = a^{ij} D_ij u + b^i D_i u + c u on box or ball
-domains, discretized with second-order central differences (four-point cross
-stencil for the mixed terms), written down once in _difference_table: each
-D_ij and D_i is a scale and a list of (lattice offset, integer coefficient)
-terms.  _stencil is the one place where A, b and c become per-node weights
-of that table's offsets; the matrix solve_dirichlet inverts and apply_L
-both use those weights, so apply_L is the assembled operator, and
-hessian_field reads the D_ij terms.  Ball boundaries are handled by cut
-cells: the first lattice layer outside the interior carries Dirichlet data
-evaluated at the radial projection onto the sphere, which costs one order
-at the boundary.
+Operators have the form Lu = a^{ij} D_ij u + c u with A elliptic and c <= 0, on
+box or ball domains: the class the estimates cover.  They are discretized with
+second-order central differences (four-point cross stencil for the mixed
+terms), written down once in _difference_table: each D_ij is a scale and a list
+of (lattice offset, integer coefficient) terms.  _stencil is the one place
+where A and c become per-node weights of that table's offsets; the matrix
+solve_dirichlet inverts and apply_L both use those weights, so apply_L is the
+assembled operator, and hessian_field reads the D_ij terms.  Ball boundaries
+are handled by cut cells: the first lattice layer outside the interior carries
+Dirichlet data evaluated at the radial projection onto the sphere, which costs
+one order at the boundary.
 
 Coefficients and stencil weights live on interior nodes only, in row-major
 (np.flatnonzero) order.  Every lattice difference finds each neighbour by
@@ -25,15 +25,14 @@ own parameters, which the field keeps so that CoeffField.spectra runs no
 eigvalsh.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
-(Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it cannot
-run (zero diagonal), does not converge, or leaves a relative residual above
-RESIDUAL_TOL, the same system is solved once more by sparse LU (spsolve);
-only a failed direct solve raises NumericError.  Each solve is logged on the
-"conelab.fd" logger: one DEBUG record with the path taken, the unknowns, nnz,
-the seconds spent assembling, the iteration count, the final relative
-residual, the seconds spent in all, and the number of interior nodes with a
-wrong-sign off-diagonal weight; and a WARNING for every fallback to the
-direct solver with its reason.
+(Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it does not
+converge or leaves a relative residual above RESIDUAL_TOL, the same system is
+solved once more by sparse LU (spsolve); only a failed direct solve raises
+NumericError.  Each solve is logged on the "conelab.fd" logger: one DEBUG
+record with the path taken, the unknowns, nnz, the seconds spent assembling,
+the iteration count, the final relative residual, the seconds spent in all, and
+the number of interior nodes with a wrong-sign off-diagonal weight; and a
+WARNING for every fallback to the direct solver with its reason.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import bicgstab, spsolve
 
-from .symcone import NumericError, gs_spectrum
+from .symcone import NumericError, ParamError, gs_spectrum
 
 MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
@@ -222,14 +221,13 @@ def boundary_field(grid, fn):
 @dataclass
 class CoeffField:
     """Coefficients on the nuk interior nodes only, in row-major order (that
-    of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric, optional b
-    (nuk, n) and c (nuk,).  The operator is elliptic only there, so nothing
-    is stored for the rest of the box.  spectrum, when A has one at every
-    interior node, is those eigenvalues, kept descending; the builders
-    derive it, and a field built without one has none."""
+    of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric with every
+    a_ii > 0, and optional c (nuk,) <= 0.  The operator is elliptic only
+    there, so nothing is stored for the rest of the box.  spectrum, when A
+    has one at every interior node, is those eigenvalues, kept descending;
+    the builders derive it, and a field built without one has none."""
     grid: Grid
     A: np.ndarray
-    b: np.ndarray | None = None
     c: np.ndarray | None = None
     spectrum: np.ndarray | None = None
 
@@ -243,6 +241,11 @@ class CoeffField:
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("coefficient matrices must be exactly "
                              "symmetric")
+        # a_ii > 0 and c <= 0 make the assembled diagonal c - 2 tr(A)/h^2 < 0
+        if not np.all(np.diagonal(self.A, axis1=1, axis2=2) > 0):
+            raise ValueError("need a_ii > 0 at every node: A not elliptic")
+        if self.c is not None and not np.all(self.c <= 0):
+            raise ValueError("need c <= 0 at every node")
         if self.spectrum is not None:
             self.spectrum = np.sort(self.spectrum)[::-1]
 
@@ -260,20 +263,23 @@ class CoeffField:
         return np.linalg.eigvalsh(A)[:, ::-1]
 
 
-def constant_coeff(A, b=None, c=None):
-    """Builder for a spatially constant coefficient field; the spectrum of
-    A is computed once, here."""
+def constant_coeff(A, c=None):
+    """Builder for a spatially constant field, whose spectrum is computed
+    once, here; ParamError unless A is symmetric positive definite, c <= 0."""
     A = np.asarray(A, dtype=float)
     spectrum = np.linalg.eigvalsh(A)
+    # exactly symmetric: the assembly reads one triangle, eigvalsh the other
+    if not (np.array_equal(A, A.T) and spectrum[0] > 0):
+        raise ParamError("matrix", f"need a symmetric positive definite "
+                         f"matrix, got {A.tolist()}")
+    if c is not None and not c <= 0:
+        raise ParamError("c", f"need c <= 0, got {c!r}")
 
     def build(grid):
         nuk = int(np.count_nonzero(grid.interior))
         AA = np.broadcast_to(A, (nuk,) + A.shape).copy()
-        bb = (np.broadcast_to(np.asarray(b, dtype=float),
-                              (nuk, grid.dim)).copy()
-              if b is not None else None)
         cc = (np.full(nuk, float(c)) if c is not None else None)
-        return CoeffField(grid, AA, bb, cc, spectrum)
+        return CoeffField(grid, AA, cc, spectrum)
     return build
 
 
@@ -344,25 +350,23 @@ def _cube_morph(mask, layers, grow):
 
 
 def _difference_table(n):
-    """(second, first) differences: second holds (i, j, scale, terms) for
-    i <= j and first (i, scale, terms), with (offset, k) terms such that
-    D_ij u = sum k u(x + h offset) / (scale h^2) and D_i u = sum k u(x + h
-    offset) / (scale h).  The order of second sets the column order of the
-    assembled matrix and the order of the boundary-data sums."""
+    """The second differences (i, j, scale, terms) for i <= j, with (offset,
+    k) terms such that D_ij u = sum k u(x + h offset) / (scale h^2).  Their
+    order sets the order of the stencil's offsets and of the boundary-data
+    sums."""
     e = np.eye(n, dtype=int)
 
     def o(v):
         return tuple(v.tolist())
-    second, first = [], []
+    second = []
     for i in range(n):
         second.append((i, i, 1, [((0,) * n, -2), (o(e[i]), 1),
                                  (o(-e[i]), 1)]))
-        first.append((i, 2, [(o(e[i]), 1), (o(-e[i]), -1)]))
         for j in range(i + 1, n):
             p, m = e[i] + e[j], e[i] - e[j]
             second.append((i, j, 4, [(o(p), 1), (o(-p), 1),
                                      (o(m), -1), (o(-m), -1)]))
-    return second, first
+    return second
 
 
 def _positions(mask):
@@ -390,7 +394,7 @@ def _gather(values, pos, strides, terms):
 
 
 def apply_L(u, coeff):
-    """Discrete Lu = A : D^2 u + b . Du + c u on interior nodes (zero
+    """Discrete Lu = A : D^2 u + c u on interior nodes (zero
     elsewhere): the weights of _stencil, those of the assembled matrix,
     applied to u.  Exact (to rounding) on polynomials of degree <= 2.
     """
@@ -404,30 +408,28 @@ def apply_L(u, coeff):
 def _stencil(coeff, rows=slice(None)):
     """(offset, weight) pairs of the assembled L in _difference_table
     order, one weight array per offset over the interior nodes of the slice
-    rows (default all nuk).  Per offset the A-weighted (b-weighted)
-    coefficients over the scale are summed and divided once by h^2 (h); the
-    scales are powers of two, so that division is exact.  Each weight of a
-    node depends on that node's coefficients only, so a slice of rows gets
-    the same bits as the same rows of the whole.
+    rows (default all nuk).  Per offset the A-weighted coefficients over the
+    scale are summed and divided once by h^2; the scales are powers of two,
+    so that division is exact.  c is added to the centre weight.  Each
+    weight of a node depends on that node's coefficients only, so a slice
+    of rows gets the same bits as the same rows of the whole.
     """
     n, h = coeff.grid.dim, coeff.grid.h
-    second, first = _difference_table(n)
     acc = {}
-    for i, j, scale, terms in second:
+    for i, j, scale, terms in _difference_table(n):
         # A : D^2 counts each off-diagonal pair twice
         a = coeff.A[rows, i, j] * ((1 if i == j else 2) / scale)
         for off, k in terms:
-            t = a if k == 1 else k * a
-            acc[off] = acc[off] + t if off in acc else t
-    weights = {off: s / h ** 2 for off, s in acc.items()}
-    if coeff.b is not None:
-        for i, scale, terms in first:
-            beta = coeff.b[rows, i] / scale
-            for off, k in terms:
-                weights[off] = weights[off] + k * beta / h
+            # k * a, not a: each offset's sum is an array of its own, so it
+            # is divided in place, with no second copy of the weights
+            acc[off] = acc[off] + k * a if off in acc else k * a
+    weights = list(acc.items())
+    for _, s in weights:
+        s /= h ** 2
     if coeff.c is not None:
-        weights[(0,) * n] = weights[(0,) * n] + coeff.c[rows]
-    return list(weights.items())
+        centre = weights[0][1]      # the first offset of the table
+        centre += coeff.c[rows]
+    return weights
 
 
 def _rel_residual(A, x, rhs):
@@ -441,25 +443,19 @@ def _solve_linear(A, rhs):
     Returns (x, path, iterations, relative residual).
     """
     nuk = A.shape[0]
-    d = A.diagonal()
     iterations = 0
-    if np.any(d == 0):
-        reason = "zero diagonal"
-    else:
-        def count(_xk):
-            nonlocal iterations
-            iterations += 1
-        maxiter = int(50 * np.sqrt(nuk)) + 100
-        sol, info = bicgstab(A, rhs, rtol=SOLVE_RTOL, atol=0.0,
-                             M=sparse.diags(1.0 / d), maxiter=maxiter,
-                             callback=count)
-        res = _rel_residual(A, sol, rhs)
-        if info != 0:
-            reason = f"BiCGSTAB info={info}, rel res={res:.2e}"
-        elif not res <= RESIDUAL_TOL:    # also catches a NaN residual
-            reason = f"BiCGSTAB rel res={res:.2e}"
-        else:
-            return sol, "bicgstab", iterations, res
+
+    def count(_xk):
+        nonlocal iterations
+        iterations += 1
+    maxiter = int(50 * np.sqrt(nuk)) + 100
+    sol, info = bicgstab(A, rhs, rtol=SOLVE_RTOL, atol=0.0,
+                         M=sparse.diags(1.0 / A.diagonal()), maxiter=maxiter,
+                         callback=count)
+    res = _rel_residual(A, sol, rhs)
+    if info == 0 and res <= RESIDUAL_TOL:     # False for a NaN residual
+        return sol, "bicgstab", iterations, res
+    reason = f"BiCGSTAB info={info}, rel res={res:.2e}"
     log.warning("falling back to spsolve on %d unknowns: %s", nuk, reason)
     sol = spsolve(A.tocsc(), rhs)
     res = _rel_residual(A, sol, rhs)
@@ -473,9 +469,9 @@ def solve_dirichlet(coeff, f, g):
     """Solve Lu = -f in the interior with u = g on boundary nodes.
 
     The linear system is solved by BiCGSTAB with diagonal preconditioning
-    to relative tolerance SOLVE_RTOL, whatever its size.  A zero diagonal, a
-    BiCGSTAB failure (info != 0) or a relative residual above RESIDUAL_TOL
-    triggers one direct sparse solve, logged as a WARNING with its reason;
+    to relative tolerance SOLVE_RTOL, whatever its size.  A BiCGSTAB
+    failure (info != 0) or a relative residual above RESIDUAL_TOL triggers
+    one direct sparse solve, logged as a WARNING with its reason;
     NumericError is raised only if the direct residual also exceeds
     RESIDUAL_TOL.  Emits MonotonicityWarning when an off-diagonal stencil
     weight has the sign that breaks the discrete maximum principle, with
@@ -528,7 +524,7 @@ def _assemble(coeff, f, g):
     # every offset of the stencil is a term of a second difference; its
     # slot in a row is its rank in ascending flat offset
     offsets = list(dict.fromkeys(
-        off for *_, terms in _difference_table(grid.dim)[0]
+        off for *_, terms in _difference_table(grid.dim)
         for off, _ in terms))
     flat = dict(zip(offsets, (np.array(offsets) @ strides).tolist()))
     slot = {off: s for s, off in enumerate(sorted(flat, key=flat.get))}
@@ -617,7 +613,7 @@ def hessian_field(u):
     pos, strides = _positions(valid)
     H = np.zeros(grid.shape + (n, n))
     nodes = H.reshape(-1, n, n)     # a view: writes land in H
-    for i, j, scale, terms in _difference_table(n)[0]:
+    for i, j, scale, terms in _difference_table(n):
         nodes[pos, i, j] = nodes[pos, j, i] = (
             _gather(u.values, pos, strides, terms) / (scale * grid.h ** 2))
     return H, valid

@@ -151,10 +151,13 @@ def _require(cond, msg):
 
 
 def _load(name, load, *args):
-    """load(*args), or ValueError naming the config field name."""
+    """load(*args), or ValueError naming the config field name (name.param
+    for a symcone.ParamError)."""
     try:
         return load(*args)
     except (TypeError, ValueError) as exc:
+        if isinstance(exc, symcone.ParamError):
+            name = f"{name}.{exc.param}"
         raise ValueError(f"field '{name}': {exc}") from None
 
 
@@ -241,17 +244,14 @@ def _check_param(value, ndim, n):
     _require(arr.shape == (n,) * ndim and np.all(np.isfinite(arr)),
              f"need {('one', n, f'{n} x {n}')[ndim]} finite "
              f"number{'s' * bool(ndim)}, got {value!r}")
-    # the assembly reads one triangle and the spectrum the other
-    _require(ndim != MATRIX or np.array_equal(arr, arr.T),
-             f"need an exactly symmetric matrix, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Kind:
     """One operator or source type: its builder and its required and
-    optional params (name -> NUMBER, VECTOR or MATRIX).  An operator's
-    builder is an fd coefficient builder, which derives the spectrum of
-    the A it builds."""
+    optional params (name -> NUMBER, VECTOR or MATRIX).  Operator builders
+    come from fd: each derives its A's spectrum, and raises ParamError on a
+    param outside the class the estimates cover."""
     build: Callable
     required: dict = field(default_factory=dict)
     optional: dict = field(default_factory=dict)
@@ -264,9 +264,8 @@ OPERATORS = {
         lambda n, op: fd.coeff_gilbarg_serrin(n, float(op["alpha"])),
         required={"alpha": NUMBER}),
     "constant": Kind(
-        lambda n, op: fd.constant_coeff(op["matrix"], op.get("b"),
-                                        op.get("c")),
-        required={"matrix": MATRIX}, optional={"b": VECTOR, "c": NUMBER}),
+        lambda n, op: fd.constant_coeff(op["matrix"], op.get("c")),
+        required={"matrix": MATRIX}, optional={"c": NUMBER}),
 }
 
 
@@ -342,6 +341,7 @@ def parse_config(d):
     _check_kind(OPERATORS, op, "operator",
                 {key: v for key, v in op.items() if key != "type"},
                 "operator", n)
+    _load("operator", OPERATORS[op["type"]].build, n, op)
     _require(set(src) <= {"type", "params"},
              "field 'f': a source takes only 'type' and 'params'")
     _check_kind(SOURCES, src, "f",

@@ -26,6 +26,15 @@ class NumericError(RuntimeError):
     """A linear solve, optimizer, iteration or quadrature that failed."""
 
 
+class ParamError(ValueError):
+    """An operator param outside the class the estimates cover; .param is
+    its name in an operator config."""
+
+    def __init__(self, param, msg):
+        super().__init__(msg)
+        self.param = param
+
+
 @dataclass(frozen=True)
 class ConeVerdict:
     member: bool
@@ -466,8 +475,8 @@ def gs_spectrum(n, alpha):
     n = int(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    if alpha >= 1:
-        raise ValueError("alpha must be < 1")
+    if not alpha < 1:
+        raise ParamError("alpha", f"need alpha < 1, got {alpha!r}")
     lam = np.ones(n)
     lam[-1] = (n - 1) / (1.0 - alpha)
     return lam

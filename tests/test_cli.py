@@ -127,17 +127,41 @@ class TestSolveCommand:
         code, _ = run_failing(capsys, "solve", "--config", str(p))
         assert code == 2
 
-    def test_malformed_drift_exits_2(self, capsys, tmp_path):
+    def test_drift_is_not_a_param_exits_2(self, capsys, tmp_path):
         cfg = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
                "domain": {"kind": "ball", "center": [0, 0], "radius": 1.0},
                "operator": {"type": "constant", "matrix": [[1, 0], [0, 1]],
-                            "b": [1.0, 2.0, 3.0]}}
+                            "b": [1.0, 2.0]}}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        code = cli.main(["solve", "--config", str(p),
-                         "--out", str(tmp_path / "sol")])
+        code, err = run_failing(capsys, "solve", "--config", str(p),
+                                "--out", str(tmp_path / "sol"))
         assert code == 2
-        assert "operator.b" in capsys.readouterr().err
+        assert "field 'operator.b': not a param of this type" in err
+
+    @pytest.mark.parametrize("operator, error", [
+        ({"type": "constant", "matrix": np.eye(3).tolist(), "c": 9},
+         "field 'operator.c': need c <= 0, got 9"),
+        ({"type": "constant",
+          "matrix": [[1, 0, 0], [0, -1, 0], [0, 0, 0]]},
+         "field 'operator.matrix': need a symmetric positive definite"),
+        ({"type": "gilbarg_serrin", "alpha": 1.5},
+         "field 'operator.alpha': need alpha < 1, got 1.5"),
+    ], ids=["c", "matrix", "alpha"])
+    def test_operator_outside_the_theorem_exits_2(
+            self, capsys, monkeypatch, tmp_path, operator, error):
+        # rejected from the config alone: no grid is built, nothing solved
+        def never(*args, **kwargs):
+            raise AssertionError("the operator reached the lattice")
+        monkeypatch.setattr(fd, "build_grid", never)
+        monkeypatch.setattr(fd, "solve_dirichlet", never)
+        cfg = {"n": 3, "k": 3, "q": 3.0, "h": 0.125, "operator": operator,
+               "f": {"type": "constant", "params": {"value": 1.0}}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, err = run_failing(capsys, "exp", "max_principle", "--config",
+                                str(p), "--out", str(tmp_path / "mp"))
+        assert code == 2 and error in err
 
     SOLVE = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
              "domain": {"kind": "ball", "center": [0, 0], "radius": 1.0}}
@@ -352,7 +376,8 @@ class TestBoundaryOperator:
 @st.composite
 def gilbarg_serrin_configs(draw):
     """A config that parse_config accepts: a gilbarg_serrin operator at
-    h = 1/4, alpha on the boundary of G*_k or anywhere near it."""
+    h = 1/4, alpha on the boundary of G*_k or anywhere near it, and below
+    1, where A(x) stops being elliptic."""
     n = draw(st.integers(2, 4))
     k = draw(st.integers(1, n))
     mode = draw(st.sampled_from(["strict", "exploratory"]))
@@ -360,7 +385,8 @@ def gilbarg_serrin_configs(draw):
         q = float(k) if 2 * k > n else draw(st.floats(n / 2 + 0.01, 6.0))
     else:
         q = draw(st.floats(1.0, 6.0))
-    alpha = draw(st.sampled_from([2.0 - n / k, 0.5]) | st.floats(-3.0, 1.5))
+    alpha = draw(st.sampled_from([2.0 - n / k, 0.5]).filter(lambda a: a < 1)
+                 | st.floats(-3.0, 1.0, exclude_max=True))
     f = draw(st.sampled_from([
         {"type": "zero"}, {"type": "constant", "params": {"value": 2.0}},
         {"type": "gaussian", "params": {"amp": -3.0, "width": 0.5}}]))

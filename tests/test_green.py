@@ -247,12 +247,15 @@ class TestRhoStarFieldOptimized:
 
     def test_first_offending_node_named(self):
         # mostly identity; two spectra outside G*_3 whose sorted order is
-        # the reverse of their node order
+        # the reverse of their node order, turned by the orthogonal H so
+        # that every a_ii = tr / 4 > 0, as CoeffField requires
         g = ball_grid(4, 0.25)
         nodes = np.argwhere(g.interior)
         A = np.broadcast_to(np.eye(4), (len(nodes), 4, 4)).copy()
-        A[100] = np.diag([1.0, 1.0, 1.0, -1.0])
-        A[300] = np.diag([-2.0, 1.0, 1.0, 1.0])
+        H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                      [1, -1, -1, 1]]) / 2.0
+        A[100] = H @ np.diag([2.0, 1.0, 1.0, -1.0]) @ H
+        A[300] = H @ np.diag([1.0, 1.0, 1.0, -2.0]) @ H
         coeff = fd.CoeffField(g, A)
         for i, row in enumerate(coeff.spectra(g.interior)):
             try:

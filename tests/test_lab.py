@@ -22,12 +22,9 @@ def ball_dict(n, r=1.0):
 
 LOG_JOB = {"exp": "log_family", "name": "lg", "n": 4, "k": 2, "q": 2.0,
            "mode": "exploratory", "eps_ladder": [0.125, 0.0625, 0.03125]}
-# c = 4 / h^2 cancels the center weight: a singular system, NumericError
-SINGULAR_JOB = {"exp": "max_principle", "name": "singular", "n": 2, "k": 2,
-                "q": 2.0, "h": 0.125,
-                "operator": {"type": "constant",
-                             "matrix": [[1.0, 0.0], [0.0, 1.0]],
-                             "c": 256.0}}
+# a solve that fails on both paths (break_solvers): NumericError
+UNSOLVED_JOB = {"exp": "max_principle", "name": "unsolved", "n": 2, "k": 2,
+                "q": 2.0, "h": 0.125}
 # explicit-constant mode needs k > n/2: ValueError once the job runs
 LOW_K_JOB = {"exp": "max_principle", "name": "low_k", "n": 4, "k": 2,
              "q": 2.0, "mode": "exploratory"}
@@ -43,6 +40,14 @@ EPS_ONE_JOB = {**LOG_JOB, "name": "eps_one", "eps_ladder": [1.0, 0.5, 0.25]}
 # a radial experiment given a lattice domain: ValueError naming the domain
 LOG_BOX_JOB = {**LOG_JOB, "name": "log_box",
                "domain": {"kind": "box", "lo": [0.0] * 4, "hi": [5.0] * 4}}
+
+
+def break_solvers(monkeypatch):
+    """BiCGSTAB stops without converging and spsolve returns NaN, as on a
+    singular system, so every solve raises NumericError."""
+    monkeypatch.setattr(fd, "bicgstab",
+                        lambda A, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(fd, "spsolve", lambda A, b: np.full_like(b, np.nan))
 
 
 @pytest.fixture(autouse=True)
@@ -101,19 +106,6 @@ class TestConfigParsing:
         cfg = lab.parse_config({"n": 3, "k": 2, "q": 2.0, "h": 0.125})
         assert cfg.h_ladder == (0.125,)
 
-    @pytest.mark.parametrize("op, field", [
-        ({"b": [1.0, 2.0]}, "operator.b"),
-        ({"b": [1.0, float("nan"), 0.0]}, "operator.b"),
-        ({"b": ["x", 0.0, 0.0]}, "operator.b"),
-        ({"b": 1.0}, "operator.b"),
-        ({"c": float("inf")}, "operator.c"),
-        ({"c": [1.0, 2.0]}, "operator.c"),
-    ])
-    def test_malformed_drift_or_potential(self, op, field):
-        spec = {"type": "constant", "matrix": np.eye(3).tolist(), **op}
-        with pytest.raises(ValueError, match=field):
-            lab.parse_config({"n": 3, "k": 2, "q": 2.0, "operator": spec})
-
     @pytest.mark.parametrize("update, field", [
         ({"operator": {"type": "gilbarg_serrin"}}, "operator.alpha"),
         ({"operator": {"type": "constant"}}, "operator.matrix"),
@@ -169,16 +161,23 @@ class TestConfigParsing:
         *(({"mode": "exploratory", "q": 1.5, "q_rule_violation": flag},
            "field 'q_rule_violation': need true or false")
           for flag in ("false", "no", 1)),
+        ({"operator": {"type": "constant", "matrix": np.eye(3).tolist(),
+                       "c": INF}}, "field 'operator.c'"),
+        ({"operator": {"type": "constant", "matrix": np.eye(3).tolist(),
+                       "c": [1.0, 2.0]}}, "field 'operator.c'"),
+        # operators outside the class the estimates cover
+        ({"operator": {"type": "constant", "matrix": np.eye(3).tolist(),
+                       "c": 9.0}}, "field 'operator.c': need c <= 0"),
+        ({"operator": {"type": "constant", "matrix": [
+            [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]]}},
+         "field 'operator.matrix': need a symmetric positive definite"),
+        ({"operator": {"type": "gilbarg_serrin", "alpha": 1.5}},
+         "field 'operator.alpha': need alpha < 1"),
     ])
     def test_misread_field_rejected(self, update, field):
         with pytest.raises(ValueError, match=field):
             lab.parse_config({"n": 3, "k": 2, "q": 2.0, **update})
 
-    def test_drift_only_on_constant_operator(self):
-        with pytest.raises(ValueError, match="operator.b"):
-            lab.parse_config({"n": 3, "k": 2, "q": 2.0,
-                              "operator": {"type": "identity",
-                                           "b": [1.0, 0.0, 0.0]}})
 
 
 class TestConstantOperator:
@@ -193,20 +192,19 @@ class TestConstantOperator:
         assert np.array_equal(lattice, np.broadcast_to(coeff.spectrum,
                                                        lattice.shape))
 
-    def test_drift_and_potential_reach_the_solve(self):
-        A = [[1.0, 0.0], [0.0, 1.5]]
-        b, c = [2.0, -1.0], -3.0
+    def test_potential_reaches_the_solve(self):
+        A, c = [[1.0, 0.0], [0.0, 1.5]], -3.0
         base = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
                 "domain": ball_dict(2),
                 "f": {"type": "constant", "params": {"value": 4.0}}}
         plain = lab.parse_config({**base, "operator": {
             "type": "constant", "matrix": A}})
         full = lab.parse_config({**base, "operator": {
-            "type": "constant", "matrix": A, "b": b, "c": c}})
+            "type": "constant", "matrix": A, "c": c}})
         grid, _, f, u = lab._solve(full, 0.125)
         _, _, _, u_plain = lab._solve(plain, 0.125)
         zero = fd.boundary_field(grid, lambda x: np.zeros(x.shape[:-1]))
-        ref = fd.solve_dirichlet(fd.constant_coeff(A, b, c)(grid), f, zero)
+        ref = fd.solve_dirichlet(fd.constant_coeff(A, c)(grid), f, zero)
         assert np.allclose(u.values, ref.values, rtol=0, atol=1e-12)
         diff = np.max(np.abs(u.values - u_plain.values))
         assert diff > 0.01 * np.max(np.abs(u_plain.values))
@@ -629,16 +627,23 @@ class TestFieldsRead:
         assert again.runs == rep.runs
 
 
-def readme_config_table():
-    """field -> 'read by' cell of the README config table."""
+def readme_table(head, after=""):
+    """First-cell name -> cells of the README table with header head, the
+    first such table after the text after."""
     text = (pathlib.Path(__file__).resolve().parents[1]
             / "README.md").read_text()
-    head = "| field | default | read by | meaning |"
+    text = text[text.index(after):]
     lines = text[text.index(head):].splitlines()[2:]
     rows = [line.split(" | ") for line in
             lines[:lines.index("")]]
-    return {re.fullmatch(r"\| `(\w+)`", row[0]).group(1): row[2]
+    return {re.fullmatch(r"\| `(\w+)`", row[0]).group(1): row[1:]
             for row in rows}
+
+
+def readme_config_table():
+    """field -> 'read by' cell of the README config table."""
+    return {key: cells[1] for key, cells in
+            readme_table("| field | default | read by | meaning |").items()}
 
 
 def test_readme_config_table_matches_vocabulary():
@@ -653,6 +658,21 @@ def test_readme_config_table_matches_vocabulary():
         if key in lab.LATTICE:
             readers.add("solve")
         assert set(re.findall(r"`(\w+)`", cell)) == readers, key
+
+
+@pytest.mark.parametrize("after, table", [
+    ("Operator types", lab.OPERATORS), ("Source types", lab.SOURCES)])
+def test_readme_param_tables_match_vocabulary(after, table):
+    # a documented param is the backticked name that opens an item of the
+    # required or optional cell; parentheses hold its shape or default
+    rows = readme_table("| type | required | optional |", after)
+    assert sorted(rows) == sorted(table)
+    for name, (required, optional) in rows.items():
+        for cell, params in ((required, table[name].required),
+                             (optional, table[name].optional)):
+            items = re.sub(r"\([^)]*\)", "", cell.rstrip(" |"))
+            assert re.findall(r"(?:^|, )`(\w+)`", items) == list(params), \
+                (name, cell)
 
 
 class TestRunSuite:
@@ -688,15 +708,16 @@ class TestRunSuite:
         assert plot.startswith("#")
 
     @pytest.mark.parametrize("bad, code, error", [
-        (SINGULAR_JOB, 3, "NumericError: solve residual too large"),
+        (UNSOLVED_JOB, 3, "NumericError: solve residual too large"),
         (LOW_K_JOB, 2, "ValueError: explicit-constant mode requires k > n/2"),
         *[(job, 2, "ValueError: field 'domain'") for job in BOX_JOBS],
         (NO_ALPHA_JOB, 2, "ValueError: field 'operator.alpha'"),
         (EPS_ONE_JOB, 2, "ValueError: field 'eps_ladder'"),
         (LOG_BOX_JOB, 2, "ValueError: field 'domain'"),
     ])
-    def test_raising_job_keeps_other_reports(self, tmp_path, bad, code,
-                                             error):
+    def test_raising_job_keeps_other_reports(self, tmp_path, monkeypatch,
+                                             bad, code, error):
+        break_solvers(monkeypatch)
         reports, got = lab.run_suite({"experiments": [LOG_JOB, bad]},
                                      out_dir=str(tmp_path))
         assert got == code
@@ -707,8 +728,9 @@ class TestRunSuite:
         assert failed.verdicts == [] and failed.error.startswith(error)
         assert not (tmp_path / bad["name"]).exists()
 
-    def test_highest_error_code_wins(self):
-        _, code = lab.run_suite({"experiments": [LOW_K_JOB, SINGULAR_JOB,
+    def test_highest_error_code_wins(self, monkeypatch):
+        break_solvers(monkeypatch)
+        _, code = lab.run_suite({"experiments": [LOW_K_JOB, UNSOLVED_JOB,
                                                  LOG_JOB]})
         assert code == 3
 

@@ -19,10 +19,11 @@ apply_L and hessian_field sum the gathered neighbour values in one
 function (_gather).  solve_dirichlet counts each row's nonzeros first and
 then fills the CSR arrays (indptr, indices, data) in blocks of rows, each a
 fixed-width block of columns and values per row in ascending flat offset,
-so no full-size copy of the matrix is made.  A coefficient builder maps a
-grid to a CoeffField and derives the spectrum of the A it builds from its
-own parameters, which the field keeps so that CoeffField.spectra runs no
-eigvalsh.
+so no full-size copy of the matrix is made; apply_L weights and gathers the
+same blocks.  A CoeffField keeps the spectrum of its A as the distinct
+eigenvalue rows plus one row index per node.  A coefficient builder maps a
+grid to a CoeffField and derives those rows from its own parameters, so
+eigvalsh per node runs only for a field given A alone.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it does not
@@ -223,13 +224,19 @@ class CoeffField:
     """Coefficients on the nuk interior nodes only, in row-major order (that
     of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric with every
     a_ii > 0, and optional c (nuk,) <= 0.  The operator is elliptic only
-    there, so nothing is stored for the rest of the box.  spectrum, when A
-    has one at every interior node, is those eigenvalues, kept descending;
-    the builders derive it, and a field built without one has none."""
+    there, so nothing is stored for the rest of the box.
+
+    The spectrum of A is spectra (d, n), its distinct eigenvalue rows, each
+    kept descending, and row (nuk,), the index in spectra of each node's
+    row.  The builders derive spectra from their own parameters; with one
+    row and no row index every node has that row, through a zero-stride
+    index.  A field given A alone gets both here, from eigvalsh per node
+    with equal rows merged: the one place a spectrum is derived from A."""
     grid: Grid
     A: np.ndarray
     c: np.ndarray | None = None
-    spectrum: np.ndarray | None = None
+    spectra: np.ndarray | None = None
+    row: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.grid.dim
@@ -238,6 +245,9 @@ class CoeffField:
             raise ValueError(f"coefficient matrix field has shape "
                              f"{self.A.shape}, need {(nuk, n, n)} (one "
                              f"matrix per interior node)")
+        if self.c is not None and np.shape(self.c) != (nuk,):
+            raise ValueError(f"potential c has shape {np.shape(self.c)}, "
+                             f"need {(nuk,)} (one value per interior node)")
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("coefficient matrices must be exactly "
                              "symmetric")
@@ -246,21 +256,21 @@ class CoeffField:
             raise ValueError("need a_ii > 0 at every node: A not elliptic")
         if self.c is not None and not np.all(self.c <= 0):
             raise ValueError("need c <= 0 at every node")
-        if self.spectrum is not None:
-            self.spectrum = np.sort(self.spectrum)[::-1]
-
-    def spectra(self, mask=None):
-        """Per-node eigenvalues (descending) over mask (default interior),
-        which must lie in the interior: the field's spectrum broadcast to
-        the mask's nodes when it has one, else eigvalsh per node."""
-        grid = self.grid
-        if mask is not None and np.any(mask & ~grid.interior):
-            raise ValueError("coefficients exist on interior nodes only")
-        if self.spectrum is not None:
-            nodes = len(self.A) if mask is None else np.count_nonzero(mask)
-            return np.broadcast_to(self.spectrum, (nodes, grid.dim))
-        A = self.A if mask is None else self.A[mask[grid.interior]]
-        return np.linalg.eigvalsh(A)[:, ::-1]
+        if self.spectra is None:
+            self.spectra, self.row = np.unique(
+                np.linalg.eigvalsh(self.A)[:, ::-1], axis=0,
+                return_inverse=True)
+        self.spectra = np.sort(self.spectra, axis=-1)[..., ::-1]
+        d = len(self.spectra)
+        if self.row is None and d == 1:
+            self.row = np.broadcast_to(np.intp(0), (nuk,))
+        row = np.asarray(self.row)
+        if not (self.spectra.shape == (d, n) and row.shape == (nuk,)
+                and row.dtype.kind in "iu" and 0 <= row.min()
+                and row.max() < d):
+            raise ValueError(f"need spectra (d, {n}) and row {(nuk,)} of "
+                             f"indices into it, got {self.spectra.shape} "
+                             f"and {row.shape} {row.dtype}")
 
 
 def constant_coeff(A, c=None):
@@ -279,7 +289,7 @@ def constant_coeff(A, c=None):
         nuk = int(np.count_nonzero(grid.interior))
         AA = np.broadcast_to(A, (nuk,) + A.shape).copy()
         cc = (np.full(nuk, float(c)) if c is not None else None)
-        return CoeffField(grid, AA, cc, spectrum)
+        return CoeffField(grid, AA, cc, spectrum[None, ::-1])
     return build
 
 
@@ -294,9 +304,8 @@ def coeff_gilbarg_serrin(n, alpha):
     radial eigenvalue of gs_spectrum(n, alpha), the spectrum of A(x).
 
     A(0) = I (the singularity is removable for all residual tests, which
-    stay away from the origin; ball grids never place a node there).  A
-    lattice with a node at the origin therefore has no single spectrum,
-    and the field keeps none.
+    stay away from the origin; ball grids never place a node there), so a
+    lattice with a node at the origin gives it the second row (1, ..., 1).
     """
     spectrum = gs_spectrum(n, alpha)
     beta = spectrum[-1] - 1.0
@@ -310,10 +319,11 @@ def coeff_gilbarg_serrin(n, alpha):
         A /= np.where(r2 > 0, r2, 1.0)[:, None, None]
         A *= beta
         A += np.eye(n)
-        origin = ~(r2 > 0)
-        A[origin] = np.eye(n)
-        return CoeffField(grid, A, spectrum=None if origin.any()
-                          else spectrum)
+        origin = ~(r2 > 0)    # where x = 0 the sums above leave A = I
+        if not origin.any():
+            return CoeffField(grid, A, spectra=spectrum[None])
+        return CoeffField(grid, A, spectra=np.stack([spectrum, np.ones(n)]),
+                          row=origin.astype(np.intp))
     return build
 
 
@@ -401,7 +411,12 @@ def apply_L(u, coeff):
     grid = u.grid
     pos, strides = _positions(grid.interior)
     out = np.zeros(grid.shape)
-    out.ravel()[pos] = _gather(u.values, pos, strides, _stencil(coeff))
+    # one block of _BLOCK_ROWS rows at a time, as _assemble weights them:
+    # each weight depends on its own node only, so the bits are the same
+    for r0 in range(0, pos.size, _BLOCK_ROWS):
+        rows = slice(r0, r0 + _BLOCK_ROWS)
+        out.ravel()[pos[rows]] = _gather(u.values, pos[rows], strides,
+                                         _stencil(coeff, rows))
     return ScalarField(grid, out)
 
 

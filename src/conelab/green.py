@@ -137,23 +137,27 @@ class BoundReport:
 
 
 def rho_star_field(coeff, k, mask):
-    """Per-node rho*_k of the coefficient spectrum over mask.
+    """Per-node rho*_k of the coefficient spectrum over mask, which must lie
+    in the interior.
 
-    The spectrum the field's builder derived (spectrum=declared), or else
-    each node's eigvalsh row (spectrum=lattice), goes to
-    symcone.rho_star_rows, and the values are broadcast (read-only) to the
-    nodes.  Logs one DEBUG record (path, nodes, optimizer calls, elapsed
-    seconds, spectrum source).  Raises identifying the first
-    offending node if rho*_k <= 0 anywhere.
+    The rows of coeff.spectra that the mask's nodes use go to
+    symcone.rho_star_rows, and each node gets the value of its row.  Logs
+    one DEBUG record (path, nodes, optimizer calls, elapsed seconds, spectra
+    rows evaluated).  Raises identifying the first offending node if
+    rho*_k <= 0 anywhere.
     """
     t0 = time.perf_counter()
-    lam = coeff.spectra(mask)
-    declared = coeff.spectrum is not None
-    vals, path, calls = symcone.rho_star_rows(lam[:1] if declared else lam, k)
-    vals = np.broadcast_to(vals, len(lam))
+    grid = coeff.grid
+    if np.any(mask & ~grid.interior):
+        raise ValueError("coefficients exist on interior nodes only")
+    row = coeff.row[mask[grid.interior]]
+    used = np.flatnonzero(np.bincount(row))
+    at = np.full(len(coeff.spectra), np.nan)    # rho*_k by row of spectra
+    at[used], path, calls = symcone.rho_star_rows(coeff.spectra[used], k)
+    vals = at[row]
     log.debug("rho_star_field: k=%d path=%s nodes=%d calls=%d elapsed=%.4f "
-              "spectrum=%s", k, path, len(lam), calls,
-              time.perf_counter() - t0, "declared" if declared else "lattice")
+              "spectra=%d", k, path, len(vals), calls,
+              time.perf_counter() - t0, len(used))
     bad = ~(vals > 0.0)     # nan outside G*_k
     if np.any(bad):
         node = np.argwhere(mask)[int(np.argmax(bad))]

@@ -696,9 +696,9 @@ def worker_count():
     env = os.environ.get("CONELAB_WORKERS")
     if env is None:
         return min(4, os.cpu_count() or 1)
-    cnt = int(env)
-    _require(cnt >= 1, "CONELAB_WORKERS must be >= 1")
-    return cnt
+    _require(env.strip().isdecimal() and int(env) >= 1,
+             f"CONELAB_WORKERS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def write_report(rep, out_dir):

@@ -42,12 +42,16 @@ def field_to_binary(field, path):
 
 
 def field_values_from_binary(path):
-    """Lattice array back from a binary dump (values only, no grid)."""
+    """Lattice array back from a binary dump (values only, no grid);
+    ValueError naming the path on a bad magic, header or data size."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: bad magic, not a field dump")
-        rank, = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        try:
+            rank, = struct.unpack("<I", fh.read(4))
+            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        except struct.error as exc:
+            raise ValueError(f"{path}: truncated header: {exc}") from exc
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != int(np.prod(shape)):
         raise ValueError(f"{path}: truncated field dump")

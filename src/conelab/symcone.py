@@ -361,18 +361,14 @@ def rho_star_rows(lam, k):
     (1, ..., 1), has no interior, so every row on it gets mean(lam).
     Closed forms for k in {1, 2, n} (path closed_k1, closed_k2, closed_kn;
     no optimizer call); otherwise (path optimized) rho_star_program once
-    per bit-distinct row.
+    per row, so a caller passes each distinct spectrum once.
     """
     lam = np.sort(_check_spectrum(lam, ndim=2), axis=1)[:, ::-1]
     n = lam.shape[1]
     k = _check_k(k, n)
     if k not in (1, 2, n):
-        # a row's bytes key its solve (np.unique costs more on one row)
-        keys = [row.tobytes() for row in lam]
-        solved = {key: _optimized_gauge(np.frombuffer(key), k)
-                  for key in dict.fromkeys(keys)}
-        return (np.array([solved[key] for key in keys], dtype=float),
-                "optimized", len(solved))
+        vals = [_optimized_gauge(row, k) for row in lam]
+        return np.array(vals, dtype=float), "optimized", len(vals)
     if k == 1:
         path, vals = "closed_k1", lam.mean(axis=1)
     elif k == 2:

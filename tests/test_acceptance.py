@@ -277,8 +277,8 @@ def test_battery_rho_star_defined_once():
         grid = fd.build_grid(fd.Domain.ball(np.zeros(n), 1.0), 0.25)
         coeff = lab.coeff_builder(cfg)(grid)
         field = green.rho_star_field(coeff, k, grid.interior)
-        rows, _, _ = symcone.rho_star_rows(coeff.spectrum[None], k)
-        one = symcone.rho_star(coeff.spectrum[::-1], k)
+        rows, _, _ = symcone.rho_star_rows(coeff.spectra, k)
+        one = symcone.rho_star(coeff.spectra[0, ::-1], k)
         assert rows[0] > 0.0 and rows[0] == one, (n, k, op)
         assert np.array_equal(field, np.full(len(field), one)), (n, k, op)
     assert len(seen) >= 10
@@ -298,9 +298,9 @@ def test_battery_builder_spectrum_is_the_declared_one():
         cfg = lab.parse_config({key: v for key, v in job.items()
                                 if key != "exp"})
         grid = fd.build_grid(fd.Domain.ball(np.zeros(n), 1.0), 0.25)
-        spectrum = lab.coeff_builder(cfg)(grid).spectrum
-        want = np.sort(declared[op["type"]](n, op))[::-1]
-        assert spectrum.tobytes() == want.tobytes(), (n, op)
+        spectra = lab.coeff_builder(cfg)(grid).spectra
+        want = np.sort(declared[op["type"]](n, op))[None, ::-1]
+        assert spectra.tobytes() == want.tobytes(), (n, op)
         seen.add(op["type"])
     assert seen == set(declared)
 

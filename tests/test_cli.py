@@ -547,7 +547,7 @@ class TestLogEnvironment:
         assert ("DEBUG conelab.green: rho_star_field: k=3 path=optimized "
                 "nodes=") in loud.err
         assert re.search(r"nodes=\d+ calls=1 elapsed=\d+\.\d{4} "
-                         r"spectrum=declared\n", loud.err)
+                         r"spectra=1\n", loud.err)
         assert loud.out == quiet.out
         assert logged_files == files and "report.json" in files
         assert logger.handlers == handlers and logger.level == level

@@ -106,32 +106,37 @@ class TestCoeff:
         n, alpha = 3, 0.25
         g = fd.build_grid(unit_ball(n), 0.25)
         coeff = fd.coeff_gilbarg_serrin(n, alpha)(g)
-        lam = coeff.spectra()
+        lam = coeff.spectra[coeff.row]
         assert np.allclose(lam, np.sort(gs_spectrum(n, alpha))[::-1])
+        # per-node eigvalsh is the oracle of the builder's row
+        assert np.allclose(lam, np.linalg.eigvalsh(coeff.A)[:, ::-1],
+                           rtol=1e-14)
 
     def test_spectra_over_mask(self):
-        # rows of A follow the row-major order of the interior nodes
+        # rows of A follow the row-major order of the interior nodes; a
+        # field given A alone keeps its distinct eigvalsh rows
         g = fd.build_grid(unit_ball(2), 0.2)
         nodes = np.argwhere(g.interior)
-        A = np.stack([np.diag([1.0 + k, 0.5]) for k in range(len(nodes))])
+        A = np.stack([np.diag([1.0 + k % 3, 0.5])
+                      for k in range(len(nodes))])
         coeff = fd.CoeffField(g, A)
+        assert np.array_equal(coeff.spectra,
+                              [[1.0, 0.5], [2.0, 0.5], [3.0, 0.5]])
+        assert np.array_equal(coeff.spectra[coeff.row],
+                              np.linalg.eigvalsh(A)[:, ::-1])
         mask = np.zeros(g.shape, dtype=bool)
         mask[tuple(nodes[[7, 3]].T)] = True
-        assert np.array_equal(coeff.spectra(mask), [[4.0, 0.5], [8.0, 0.5]])
-        with pytest.raises(ValueError, match="interior"):
-            coeff.spectra(g.active)
+        assert np.array_equal(coeff.spectra[coeff.row[mask[g.interior]]],
+                              [[1.0, 0.5], [2.0, 0.5]])
 
     def test_declared_spectrum_broadcast_without_eigvalsh(self, monkeypatch):
+        # a builder's field has one row and a zero-stride row index
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
         g = fd.build_grid(unit_ball(3), 0.25)
         coeff = fd.coeff_gilbarg_serrin(3, 0.5)(g)
-        assert np.array_equal(coeff.spectrum, [4.0, 1.0, 1.0])
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        mask = fd.interior_eroded(g, 1)
-        lam = coeff.spectra(mask)
-        assert lam.shape == (np.count_nonzero(mask), 3)
-        assert np.all(lam == coeff.spectrum)
-        with pytest.raises(ValueError, match="interior"):
-            coeff.spectra(g.active)
+        assert np.array_equal(coeff.spectra, [[4.0, 1.0, 1.0]])
+        assert coeff.row.shape == (len(coeff.A),)
+        assert coeff.row.strides == (0,) and np.all(coeff.row == 0)
 
 
 class TestCubeMorph:
@@ -545,6 +550,21 @@ class TestGatherOracle:
             1e-12 * np.max(np.abs(want)))
         assert not np.any(got[~g.interior])
 
+    def test_apply_L_blocks_bit_equal(self):
+        # 54,088 rows in seven blocks of _BLOCK_ROWS: each weight depends
+        # on its own node only, so the blocks give one whole gather's bits
+        g = fd.build_grid(unit_ball(3), 1 / 24)
+        x = g.points(g.interior)
+        A = fd.coeff_gilbarg_serrin(3, 0.25)(g).A
+        coeff = fd.CoeffField(g, A, -1.0 - np.sum(x ** 2, -1))
+        u = fd.field_from_function(g, _wavy)
+        pos, strides = fd._positions(g.interior)
+        assert pos.size > 6 * fd._BLOCK_ROWS
+        whole = fd._gather(u.values, pos, strides, fd._stencil(coeff))
+        got = fd.apply_L(u, coeff).values
+        assert got[g.interior].tobytes() == whole.tobytes()
+        assert not np.any(got[~g.interior])
+
 
 class TestMemoryBudget:
     """tracemalloc peaks on the n = 3 unit ball.  At h = 1/16 (15,408
@@ -585,6 +605,20 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * sum(w.nbytes for _, w in weights)
+
+    def test_apply_L_peak(self):
+        # weighted and gathered one block of rows at a time, so the peak
+        # holds the result and one block's weights, not all 19 arrays
+        g = fd.build_grid(unit_ball(3), 1 / 24)
+        coeff = fd.coeff_gilbarg_serrin(3, 0.25)(g)
+        u = fd.field_from_function(g, _wavy)
+        tracemalloc.start()
+        try:
+            out = fd.apply_L(u, coeff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.values.nbytes
 
     def test_solve_peak(self):
         peak, csr = self._solve_peak(1 / 16, fd.solve_dirichlet)
@@ -767,6 +801,36 @@ class TestFieldValidation:
         A[5, 0, 0] = 0.0
         with pytest.raises(ValueError, match="need a_ii > 0"):
             fd.CoeffField(g, A)
+
+    def test_potential_shape_checked(self):
+        # one c per interior node, not a vector of some other length
+        g = fd.build_grid(unit_box(2), 0.125)
+        nuk = int(np.count_nonzero(g.interior))
+        A = np.broadcast_to(np.eye(2), (nuk, 2, 2)).copy()
+        with pytest.raises(ValueError, match=r"potential c has shape "
+                           r"\(3,\), need \(49,\)"):
+            fd.CoeffField(g, A, -np.ones(3))
+
+    @pytest.mark.parametrize("spectra, row", [
+        ([[1.0, 1.0]], np.zeros(3, dtype=np.intp)),      # wrong length
+        ([[1.0, 1.0]], np.ones(49, dtype=np.intp)),      # no row 1
+        ([[1.0, 1.0]], -np.ones(49, dtype=np.intp)),     # negative
+        ([[1.0, 1.0]], np.zeros(49)),                    # not integers
+        ([[1.0, 1.0], [2.0, 1.0]], None),                # two rows, no index
+    ], ids=["short", "past_end", "negative", "float", "missing"])
+    def test_row_index_checked(self, spectra, row):
+        g = fd.build_grid(unit_box(2), 0.125)
+        A = np.broadcast_to(np.eye(2), (49, 2, 2)).copy()
+        with pytest.raises(ValueError, match=r"need spectra \(d, 2\) and "
+                           r"row \(49,\) of indices"):
+            fd.CoeffField(g, A, spectra=np.array(spectra), row=row)
+
+    def test_spectra_shape_checked(self):
+        g = fd.build_grid(unit_box(2), 0.125)
+        A = np.broadcast_to(np.eye(2), (49, 2, 2)).copy()
+        for spectra in (np.ones(2), np.ones((1, 3)), np.ones((0, 2))):
+            with pytest.raises(ValueError, match=r"need spectra \(d, 2\)"):
+                fd.CoeffField(g, A, spectra=spectra)
 
     def test_positive_potential_rejected(self):
         # with c > 0 at one node there is no maximum principle

@@ -168,8 +168,9 @@ class TestRhoStarField:
 
 
 class TestRhoStarFieldDeclared:
-    """A builder's spectrum is evaluated once; on a constant operator its
-    bits are the eigvalsh rows, so every path gives the lattice values."""
+    """A builder's row is evaluated once; on a constant operator its bits
+    are the eigvalsh rows, so a field given A alone, whose rows come from
+    eigvalsh per node, gets the same values."""
 
     @pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 3)])
     def test_matches_lattice_path(self, n, k, caplog):
@@ -178,25 +179,52 @@ class TestRhoStarFieldDeclared:
         A[0, 1] = A[1, 0] = 0.1
         A[-1, -1] = 1.5
         built = fd.constant_coeff(A)(g)
+        lattice = fd.CoeffField(g, built.A)
+        assert np.array_equal(lattice.spectra, built.spectra)
         with caplog.at_level(logging.DEBUG, "conelab.green"):
-            lattice = rho_star_field(fd.CoeffField(g, built.A), k,
-                                     g.interior)
+            from_A = rho_star_field(lattice, k, g.interior)
             declared = rho_star_field(built, k, g.interior)
-        assert np.array_equal(declared, lattice)
-        lattice_rec, declared_rec = caplog.messages
-        assert "spectrum=lattice" in lattice_rec
-        assert re.search(r"nodes=\d+ calls=%d elapsed=\S+ "
-                         r"spectrum=declared$" % (k not in (2, n)),
-                         declared_rec)
+        assert np.array_equal(declared, from_A)
+        for rec in caplog.messages:
+            assert re.search(r"nodes=\d+ calls=%d elapsed=\S+ spectra=1$"
+                             % (k not in (2, n)), rec)
 
     def test_outside_dual_cone_names_first_node(self):
         g = ball_grid(3, 0.25)
         A = np.diag([1.0, 1.0, 5.0])
         coeff = fd.constant_coeff(A)(g)
-        assert coeff.spectrum is not None
+        assert len(coeff.spectra) == 1
         node = tuple(np.argwhere(g.interior)[0].tolist())
         with pytest.raises(ValueError, match=re.escape(f"node {node}")):
             rho_star_field(coeff, 2, g.interior)
+
+
+class TestRhoStarFieldOrigin:
+    """A gilbarg_serrin lattice through the origin has two spectra: the
+    gs row everywhere but the origin, where A = I."""
+
+    def test_two_solves_and_exact_values(self, monkeypatch):
+        n, k, alpha = 4, 3, -0.3
+        g = fd.build_grid(fd.Domain.box([-1.0] * n, [1.0] * n), 0.25)
+        coeff = fd.coeff_gilbarg_serrin(n, alpha)(g)
+        x = g.points(g.interior)
+        origin = np.all(x == 0.0, axis=1)
+        assert len(x) == 2401 and np.count_nonzero(origin) == 1
+        # per-node eigvalsh is the oracle of the builder's rows
+        lam = np.linalg.eigvalsh(coeff.A)[:, ::-1]
+        assert np.allclose(coeff.spectra[coeff.row], lam, rtol=1e-14)
+        calls, real = [], symcone._barrier_newton
+
+        def counted(a, k):
+            calls.append(a)
+            return real(a, k)
+
+        monkeypatch.setattr(symcone, "_barrier_newton", counted)
+        vals = rho_star_field(coeff, k, g.interior)
+        assert len(calls) == 2
+        assert vals[origin].tolist() == [1.0]
+        want = symcone.rho_star(symcone.gs_spectrum(n, alpha), k)
+        assert np.all(vals[~origin] == want)
 
 
 class TestRhoStarFieldBoundary:
@@ -221,7 +249,7 @@ class TestRhoStarFieldOptimized:
 
     @pytest.fixture(scope="class")
     def gs_lattice(self):
-        # the field without the builder's spectrum: eigvalsh per node
+        # the field given A alone: its rows from eigvalsh per node
         g = ball_grid(4, 0.25)
         A = fd.coeff_gilbarg_serrin(4, -0.3)(g).A
         return fd.CoeffField(g, A), g.interior
@@ -229,7 +257,7 @@ class TestRhoStarFieldOptimized:
     def test_matches_per_node_loop(self, gs_lattice):
         coeff, mask = gs_lattice
         ref = np.array([symcone.rho_star(row, 3)
-                        for row in coeff.spectra(mask)])
+                        for row in np.linalg.eigvalsh(coeff.A)])
         assert np.array_equal(rho_star_field(coeff, 3, mask), ref)
 
     def test_one_call_per_distinct_spectrum(self, gs_lattice, monkeypatch):
@@ -243,7 +271,25 @@ class TestRhoStarFieldOptimized:
         monkeypatch.setattr(symcone, "_barrier_newton", counted)
         rho_star_field(coeff, 3, mask)
         assert np.count_nonzero(mask) == 704
-        assert len(seen) == len(set(seen)) == 35
+        assert len(seen) == len(set(seen)) == len(coeff.spectra) == 35
+
+    def test_only_the_masked_rows_are_evaluated(self, gs_lattice, caplog):
+        # two nodes of one row: one solve, and both nodes get its value
+        coeff, mask = gs_lattice
+        nodes = np.flatnonzero(coeff.row == coeff.row[0])[:2]
+        sub = np.zeros_like(mask)
+        sub[tuple(np.argwhere(mask)[nodes].T)] = True
+        with caplog.at_level(logging.DEBUG, "conelab.green"):
+            vals = rho_star_field(coeff, 3, sub)
+        want = symcone.rho_star(coeff.spectra[coeff.row[0]], 3)
+        assert np.array_equal(vals, [want, want])
+        assert re.search(r"nodes=2 calls=1 elapsed=\S+ spectra=1$",
+                         caplog.messages[0])
+
+    def test_mask_outside_interior_rejected(self, gs_lattice):
+        coeff, _ = gs_lattice
+        with pytest.raises(ValueError, match="interior nodes only"):
+            rho_star_field(coeff, 3, coeff.grid.active)
 
     def test_first_offending_node_named(self):
         # mostly identity; two spectra outside G*_3 whose sorted order is
@@ -257,7 +303,7 @@ class TestRhoStarFieldOptimized:
         A[100] = H @ np.diag([2.0, 1.0, 1.0, -1.0]) @ H
         A[300] = H @ np.diag([1.0, 1.0, 1.0, -2.0]) @ H
         coeff = fd.CoeffField(g, A)
-        for i, row in enumerate(coeff.spectra(g.interior)):
+        for i, row in enumerate(np.linalg.eigvalsh(A)):
             try:
                 if symcone.rho_star(row, 3) <= 0.0:
                     break

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conelab import fd, lab
+from conelab import cli, fd, lab
 from conelab.symcone import NumericError
 
 
@@ -188,9 +188,9 @@ class TestConstantOperator:
         op = {"type": "constant", "matrix": A}
         grid = fd.build_grid(fd.Domain.ball(np.zeros(3), 1.0), 0.25)
         coeff = lab.OPERATORS["constant"].build(3, op)(grid)
-        lattice = fd.CoeffField(grid, coeff.A).spectra()
-        assert np.array_equal(lattice, np.broadcast_to(coeff.spectrum,
-                                                       lattice.shape))
+        lattice = fd.CoeffField(grid, coeff.A)
+        assert np.array_equal(lattice.spectra, coeff.spectra)
+        assert np.array_equal(lattice.row, coeff.row)
 
     def test_potential_reaches_the_solve(self):
         A, c = [[1.0, 0.0], [0.0, 1.5]], -3.0
@@ -227,12 +227,11 @@ class TestDeclaredSpectrum:
                                 "operator": op})
         grid = fd.build_grid(fd.Domain.ball(np.zeros(n), 1.0), 0.25)
         coeff = lab.coeff_builder(cfg)(grid)
-        assert coeff.spectrum is not None
+        assert coeff.spectra.shape == (1, n)
+        assert coeff.row.strides == (0,) and np.all(coeff.row == 0)
         lattice = np.linalg.eigvalsh(coeff.A)[:, ::-1]
-        ulp = np.spacing(np.abs(coeff.spectrum).max())
-        assert np.abs(lattice - coeff.spectrum).max() <= 8 * ulp
-        assert np.array_equal(coeff.spectra(), np.broadcast_to(
-            coeff.spectrum, lattice.shape))
+        ulp = np.spacing(np.abs(coeff.spectra).max())
+        assert np.abs(lattice - coeff.spectra).max() <= 8 * ulp
 
     def test_one_optimizer_call_per_lattice(self, monkeypatch):
         from conelab import green, symcone
@@ -240,7 +239,7 @@ class TestDeclaredSpectrum:
             "type": "gilbarg_serrin", "alpha": -0.3}})
         grid = fd.build_grid(fd.Domain.ball(np.zeros(4), 1.0), 0.25)
         coeff = lab.coeff_builder(cfg)(grid)
-        want = symcone.rho_star(coeff.spectrum, 3)
+        want = symcone.rho_star(coeff.spectra[0], 3)
         calls, real = [], symcone._barrier_newton
 
         def counted(a, k):
@@ -253,15 +252,19 @@ class TestDeclaredSpectrum:
         assert np.all(vals == want)
 
     def test_origin_node_keeps_the_lattice_spectrum(self):
-        # A(0) = I on a lattice through the origin: no single spectrum
+        # A(0) = I on a lattice through the origin: a second row there
         cfg = lab.parse_config({"n": 3, "k": 2, "q": 2.0, "operator": {
             "type": "gilbarg_serrin", "alpha": 0.25}})
         box = fd.Domain.box([-1.0] * 3, [1.0] * 3)
         grid = fd.build_grid(box, 0.25)
         coeff = lab.coeff_builder(cfg)(grid)
-        assert coeff.spectrum is None
+        from conelab.symcone import gs_spectrum
+        assert np.array_equal(coeff.spectra, [gs_spectrum(3, 0.25)[::-1],
+                                              np.ones(3)])
         origin = np.all(grid.points(grid.interior) == 0.0, axis=1)
-        assert np.array_equal(coeff.spectra()[origin], [np.ones(3)])
+        assert np.array_equal(coeff.row, origin)
+        assert np.array_equal(np.linalg.eigvalsh(coeff.A[origin]),
+                              [np.ones(3)])
 
 
 class TestSlopeFitting:
@@ -772,9 +775,24 @@ class TestWorkerCount:
         assert lab.worker_count() == 7
 
     def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("CONELAB_WORKERS", "0")
-        with pytest.raises(ValueError):
-            lab.worker_count()
+        # the message names the variable and the value it holds
+        for value in ("0", "-2", "abc", "", "2.5"):
+            monkeypatch.setenv("CONELAB_WORKERS", value)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"CONELAB_WORKERS must be an integer >= 1, got "
+                    f"{value!r}")):
+                lab.worker_count()
+
+    def test_env_invalid_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("CONELAB_WORKERS", "abc")
+        p = tmp_path / "suite.json"
+        p.write_text(json.dumps({"experiments": [{
+            "exp": "max_principle", "n": 2, "k": 2, "q": 2.0,
+            "h": 0.25}]}))
+        assert cli.main(["suite", "--config", str(p), "--out",
+                         str(tmp_path / "out")]) == 2
+        assert "CONELAB_WORKERS must be an integer >= 1, got 'abc'" in (
+            capsys.readouterr().err)
 
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("CONELAB_WORKERS", raising=False)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ class TestFieldBinary:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             serialize.field_values_from_binary(p)
+
+    def test_short_header(self, tmp_path):
+        # the magic and one byte of the rank: ValueError naming the file,
+        # not struct.error
+        p = tmp_path / "f.bin"
+        for head in (serialize.MAGIC + b"\x01",
+                     serialize.MAGIC + (2).to_bytes(4, "little") + b"\x05"):
+            p.write_bytes(head)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{p}: truncated header")):
+                serialize.field_values_from_binary(p)
 
     def test_little_endian_doubles(self, tmp_path):
         g, f = small_field()

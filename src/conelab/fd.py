@@ -29,34 +29,57 @@ Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it does not
 converge or leaves a relative residual above RESIDUAL_TOL, the same system is
 solved once more by sparse LU (spsolve); only a failed direct solve raises
-NumericError.  Each solve is logged on the "conelab.fd" logger: one DEBUG
-record with the path taken, the unknowns, nnz, the seconds spent assembling,
-the iteration count, the final relative residual, the seconds spent in all, and
-the number of interior nodes with a wrong-sign off-diagonal weight; and a
-WARNING for every fallback to the direct solver with its reason.
+NumericError.  A system of more than _BLOCK_ROWS rows, on a process that may
+run on several cores, has each matrix-vector product of BiCGSTAB split into
+row slabs, one per core, that run at once (row-block data parallelism, Saad
+section 11.5); each row's sum is the same, so the iterates are the same bits.
+Each solve is logged on the "conelab.fd" logger: one DEBUG record with the
+path taken, the unknowns, nnz, the number of row slabs, the seconds spent
+assembling, the iteration count, the final relative residual, the seconds
+spent in all, and the number of interior nodes with a wrong-sign
+off-diagonal weight; and a WARNING for every fallback to the direct solver
+with its reason.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab, spsolve
+from scipy.sparse.linalg import LinearOperator, bicgstab, spsolve
 
 from .symcone import NumericError, ParamError, gs_spectrum
 
 MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
 SOLVE_RTOL = 1e-10      # relative tolerance BiCGSTAB iterates to
-_BLOCK_ROWS = 8192      # interior rows _assemble fills per block
+_BLOCK_ROWS = 8192      # interior rows per assembly block and matvec slab
 # the keys of a domain's dict beside "kind": the arguments of Domain.<kind>
 DOMAIN_KEYS = {"ball": ("center", "radius"), "box": ("lo", "hi")}
 
 log = logging.getLogger(__name__)
+
+
+def _cores():
+    """Cores this process may run on: its CPU affinity set where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+CORES = _cores()
+# the matvec slabs past the first, of every solve of the process (suite
+# threads included); it starts no thread until a slab is submitted
+_SLAB_POOL = ThreadPoolExecutor(max_workers=max(CORES - 1, 1),
+                                thread_name_prefix="conelab-matvec")
 
 
 class MonotonicityWarning(UserWarning):
@@ -222,9 +245,10 @@ def boundary_field(grid, fn):
 @dataclass
 class CoeffField:
     """Coefficients on the nuk interior nodes only, in row-major order (that
-    of np.flatnonzero(grid.interior)): A (nuk, n, n), symmetric with every
-    a_ii > 0, and optional c (nuk,) <= 0.  The operator is elliptic only
-    there, so nothing is stored for the rest of the box.
+    of np.flatnonzero(grid.interior)): A (nuk, n, n), finite and symmetric
+    with every a_ii > 0, and optional c (nuk,), finite and <= 0.  The
+    operator is elliptic only there, so nothing is stored for the rest of
+    the box.
 
     The spectrum of A is spectra (d, n), its distinct eigenvalue rows, each
     kept descending, and row (nuk,), the index in spectra of each node's
@@ -248,6 +272,16 @@ class CoeffField:
         if self.c is not None and np.shape(self.c) != (nuk,):
             raise ValueError(f"potential c has shape {np.shape(self.c)}, "
                              f"need {(nuk,)} (one value per interior node)")
+        for name in ("A", "c"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            bad = ~np.isfinite(value).reshape(nuk, -1).all(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                node = tuple(np.argwhere(self.grid.interior)[k].tolist())
+                raise ValueError(f"coefficient {name} is not finite at "
+                                 f"interior node {k} (lattice index {node})")
         if not np.array_equal(self.A, np.swapaxes(self.A, -1, -2)):
             raise ValueError("coefficient matrices must be exactly "
                              "symmetric")
@@ -452,10 +486,40 @@ def _rel_residual(A, x, rhs):
                  / max(np.linalg.norm(rhs), 1e-300))
 
 
+def _row_slabs(A):
+    """A itself when it has at most _BLOCK_ROWS rows or the process has one
+    core, else a LinearOperator whose matvec computes A's rows as
+    min(CORES, ceil(rows / _BLOCK_ROWS)) slabs of equal row counts: the
+    first on the calling thread, the rest on _SLAB_POOL.  Each row sums the
+    same entries in the same order as A @ x, so the product is bit-equal.
+    Returns (operator, number of slabs)."""
+    nuk = A.shape[0]
+    k = min(CORES, -(-nuk // _BLOCK_ROWS))
+    if k <= 1:
+        return A, 1
+    bounds = [nuk * i // k for i in range(k + 1)]
+    slabs = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        lo, hi = A.indptr[r0], A.indptr[r1]
+        slab = sparse.csr_matrix((r1 - r0, nuk), dtype=A.dtype)
+        # views over A's arrays, set as attributes: the constructor's prune
+        # copies a view that is under half its base
+        slab.data, slab.indices = A.data[lo:hi], A.indices[lo:hi]
+        slab.indptr = A.indptr[r0:r1 + 1] - lo
+        slabs.append(slab)
+
+    def matvec(x):
+        rest = [_SLAB_POOL.submit(slab.dot, x) for slab in slabs[1:]]
+        return np.concatenate([slabs[0].dot(x)]
+                              + [part.result() for part in rest])
+    return LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), k
+
+
 def _solve_linear(A, rhs):
     """x with A x = rhs: BiCGSTAB first, one fallback to sparse LU.
 
-    Returns (x, path, iterations, relative residual).
+    Returns (x, path, iterations, relative residual, row slabs of each
+    matvec).
     """
     nuk = A.shape[0]
     iterations = 0
@@ -463,21 +527,22 @@ def _solve_linear(A, rhs):
     def count(_xk):
         nonlocal iterations
         iterations += 1
+    op, slabs = _row_slabs(A)
     maxiter = int(50 * np.sqrt(nuk)) + 100
-    sol, info = bicgstab(A, rhs, rtol=SOLVE_RTOL, atol=0.0,
+    sol, info = bicgstab(op, rhs, rtol=SOLVE_RTOL, atol=0.0,
                          M=sparse.diags(1.0 / A.diagonal()), maxiter=maxiter,
                          callback=count)
-    res = _rel_residual(A, sol, rhs)
+    res = _rel_residual(op, sol, rhs)
     if info == 0 and res <= RESIDUAL_TOL:     # False for a NaN residual
-        return sol, "bicgstab", iterations, res
+        return sol, "bicgstab", iterations, res, slabs
     reason = f"BiCGSTAB info={info}, rel res={res:.2e}"
     log.warning("falling back to spsolve on %d unknowns: %s", nuk, reason)
     sol = spsolve(A.tocsc(), rhs)
-    res = _rel_residual(A, sol, rhs)
+    res = _rel_residual(op, sol, rhs)
     if not res <= RESIDUAL_TOL:
         raise NumericError(f"solve residual too large after fallback to "
                            f"spsolve ({reason}): {res:.2e}")
-    return sol, "spsolve", iterations, res
+    return sol, "spsolve", iterations, res, slabs
 
 
 def solve_dirichlet(coeff, f, g):
@@ -502,10 +567,10 @@ def solve_dirichlet(coeff, f, g):
                       f"{n_wrong} of {nuk} interior nodes; the discrete "
                       f"maximum principle may fail",
                       MonotonicityWarning, stacklevel=2)
-    sol, path, iterations, res = _solve_linear(A, rhs)
-    log.debug("solve: path=%s unknowns=%d nnz=%d assemble=%.4f "
+    sol, path, iterations, res, slabs = _solve_linear(A, rhs)
+    log.debug("solve: path=%s unknowns=%d nnz=%d slabs=%d assemble=%.4f "
               "iterations=%d rel_res=%.2e elapsed=%.4f wrong_sign=%d", path,
-              nuk, A.nnz, assembled, iterations, res,
+              nuk, A.nnz, slabs, assembled, iterations, res,
               time.perf_counter() - t0, n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)
     out[grid.interior] = sol

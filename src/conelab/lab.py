@@ -692,10 +692,11 @@ def error_exit_code(exc):
 
 
 def worker_count():
-    """Suite threads: CONELAB_WORKERS if set, else min(4, cpu_count)."""
+    """Suite threads: CONELAB_WORKERS if set, else min(4, fd.CORES), the
+    cores this process may run on."""
     env = os.environ.get("CONELAB_WORKERS")
     if env is None:
-        return min(4, os.cpu_count() or 1)
+        return min(4, fd.CORES)
     _require(env.strip().isdecimal() and int(env) >= 1,
              f"CONELAB_WORKERS must be an integer >= 1, got {env!r}")
     return int(env)

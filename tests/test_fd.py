@@ -1,8 +1,10 @@
 import contextlib
 import logging
 import re
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -359,7 +361,8 @@ class TestSolverPolicy:
         g, f, bc = _policy_problem()
         _, recs = _solve_records(caplog, fd.identity_coeff()(g), f, bc)
         msg = recs[-1].getMessage()
-        assert re.search(r" nnz=\d+ assemble=\d+\.\d{4} iterations=\d+ ", msg)
+        assert re.search(r" nnz=\d+ slabs=\d+ assemble=\d+\.\d{4} "
+                         r"iterations=\d+ ", msg)
         assemble = float(msg.split("assemble=")[1].split()[0])
         assert 0.0 <= assemble <= float(msg.split("elapsed=")[1].split()[0])
 
@@ -507,6 +510,116 @@ class TestAssemblyOracle:
         assert sum(w.category is fd.MonotonicityWarning
                    for w in caught) == warns
         return len(rhs)
+
+
+class TestRowSlabs:
+    """The row-slab matvec of a large BiCGSTAB solve is bit-equal to A @ x,
+    so the iterates and the solution are the serial path's bits."""
+
+    @ORACLE_CASES
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_matvec_bit_equal(self, monkeypatch, domain, h, builder, warns,
+                              cores):
+        g, f, bc = _policy_problem(domain, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            A, _, _ = fd._assemble(builder(g), f, bc)
+        # 11 rows a block: every case splits into `cores` slabs, whose
+        # edges fall inside blocks
+        monkeypatch.setattr(fd, "_BLOCK_ROWS", 11)
+        monkeypatch.setattr(fd, "CORES", cores)
+        op, slabs = fd._row_slabs(A)
+        nuk = A.shape[0]
+        assert slabs == cores
+        assert all(nuk * i // cores % 11 for i in range(1, cores))
+        x = np.random.default_rng(cores).standard_normal(nuk)
+        x[::5] *= 1e-300
+        assert op.matvec(x).tobytes() == (A @ x).tobytes()
+        assert (op @ x).tobytes() == (A @ x).tobytes()
+
+    def test_slabs_are_views(self, monkeypatch):
+        # only each slab's shifted indptr is new: data and indices are A's
+        g, f, bc = _policy_problem(unit_box(3), 1 / 16)
+        A, _, _ = fd._assemble(fd.identity_coeff()(g), f, bc)
+        monkeypatch.setattr(fd, "CORES", 3)
+        monkeypatch.setattr(fd, "_BLOCK_ROWS", 1000)
+        tracemalloc.start()
+        try:
+            _, slabs = fd._row_slabs(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert slabs == 3
+        assert peak <= 2 * A.indptr.nbytes + 65536 < A.indices.nbytes
+
+    @pytest.mark.parametrize("builder", [
+        fd.identity_coeff(), fd.coeff_gilbarg_serrin(3, 0.25)])
+    def test_solve_bit_equal_with_and_without(self, caplog, monkeypatch,
+                                              builder):
+        g, f, bc = _policy_problem()
+        coeff = builder(g)
+        monkeypatch.setattr(fd, "_BLOCK_ROWS", 100)
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            for cores in (1, 3):
+                monkeypatch.setattr(fd, "CORES", cores)
+                u, recs = _solve_records(caplog, coeff, f, bc)
+                msg = recs[-1].getMessage()
+                assert f" slabs={cores} " in msg
+                runs.append((u.values.tobytes(),
+                             msg.split("iterations=")[1].split()[0]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cores, block_rows", [(4, None), (1, 11)])
+    def test_unsplit_matrix_to_bicgstab(self, caplog, monkeypatch, cores,
+                                        block_rows):
+        # at most one block, or one core: BiCGSTAB gets A itself
+        g, f, bc = _policy_problem()
+        monkeypatch.setattr(fd, "CORES", cores)
+        if block_rows:
+            monkeypatch.setattr(fd, "_BLOCK_ROWS", block_rows)
+        seen, given = _solved_systems(monkeypatch), []
+        solve = fd.bicgstab
+
+        def spy(A, b, **kwargs):
+            given.append(A)
+            return solve(A, b, **kwargs)
+        monkeypatch.setattr(fd, "bicgstab", spy)
+        _, recs = _solve_records(caplog, fd.identity_coeff()(g), f, bc)
+        (A, _), = seen
+        assert len(given) == 1 and given[0] is A
+        assert " slabs=1 " in recs[-1].getMessage()
+
+    def test_concurrent_solves_share_the_pool(self, monkeypatch):
+        # suite threads share one slab pool: more solves at once than
+        # cores, with a short switch interval, each get the serial bits
+        g, f, bc = _policy_problem()
+        coeffs = [fd.identity_coeff()(g),
+                  fd.constant_coeff(np.diag([4.0, 1.0, 0.25]), c=-2.0)(g)]
+        monkeypatch.setattr(fd, "_BLOCK_ROWS", 100)
+        monkeypatch.setattr(fd, "CORES", 1)
+        serial = [fd.solve_dirichlet(c, f, bc).values.tobytes()
+                  for c in coeffs]
+        monkeypatch.setattr(fd, "CORES", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                jobs = [pool.submit(fd.solve_dirichlet, coeffs[i % 2], f, bc)
+                        for i in range(12)]
+                got = [job.result(timeout=120).values.tobytes()
+                       for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [serial[i % 2] for i in range(12)]
+
+    def test_cores_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(fd.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(fd.os, "cpu_count", lambda: None)
+        assert fd._cores() == 1
+        monkeypatch.setattr(fd.os, "cpu_count", lambda: 6)
+        assert fd._cores() == 6
 
 
 def _wavy(x):
@@ -801,6 +914,25 @@ class TestFieldValidation:
         A[5, 0, 0] = 0.0
         with pytest.raises(ValueError, match="need a_ii > 0"):
             fd.CoeffField(g, A)
+
+    @pytest.mark.parametrize("name, at, value", [
+        ("A", (12, 0, 0), np.inf),
+        ("A", (30, 0, 1), np.nan),
+        ("c", 7, -np.inf),
+    ])
+    def test_nonfinite_coeff_rejected(self, name, at, value):
+        # named with the first node's row and lattice index, before the
+        # symmetry and sign checks that a NaN or inf would trip elsewhere
+        g = fd.build_grid(unit_box(2), 0.125)
+        A = np.broadcast_to(np.eye(2), (49, 2, 2)).copy()
+        c = -np.ones(49)
+        ({"A": A, "c": c}[name])[at] = value
+        k = at[0] if name == "A" else at
+        node = tuple(np.argwhere(g.interior)[k].tolist())
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient {name} is not finite at interior node {k} "
+                f"(lattice index {node})")):
+            fd.CoeffField(g, A, c)
 
     def test_potential_shape_checked(self):
         # one c per interior node, not a vector of some other length

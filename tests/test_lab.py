@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import sys
@@ -797,3 +798,12 @@ class TestWorkerCount:
     def test_default_positive(self, monkeypatch):
         monkeypatch.delenv("CONELAB_WORKERS", raising=False)
         assert lab.worker_count() >= 1
+
+    @pytest.mark.parametrize("cores, workers", [(1, 1), (3, 3), (16, 4)])
+    def test_default_follows_cores(self, monkeypatch, cores, workers):
+        # the cores the process may run on (its affinity set), as the
+        # row-slab matvec counts them, not the machine's CPU count
+        monkeypatch.delenv("CONELAB_WORKERS", raising=False)
+        monkeypatch.setattr(fd, "CORES", cores)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert lab.worker_count() == workers

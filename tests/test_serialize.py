@@ -32,6 +32,62 @@ class TestFieldCsv:
         assert np.allclose(data[:, 0], g.axes[0][idx[:, 0]])
 
 
+def _savetxt_csv(path, grid, mask, columns):
+    """Oracle of the node CSV bytes: np.savetxt of the stacked columns."""
+    idx = np.argwhere(mask)
+    names = [f"x{d + 1}" for d in range(grid.dim)] + list(columns)
+    data = [ax[i] for ax, i in zip(grid.axes, idx.T)]
+    data += [arr[mask] for arr in columns.values()]
+    np.savetxt(path, np.column_stack(data), delimiter=",",
+               header=",".join(names), comments="", fmt="%.17g")
+
+
+class TestNodeCsvBytes:
+    """The node CSV writer gives np.savetxt's bytes, in one chunk of rows
+    and in many."""
+
+    @staticmethod
+    def _extreme_field(domain, h):
+        g = fd.build_grid(domain, h)
+        # -0.0, subnormals, +-1e308, integers, then values of 17 digits
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 3.0, -7.0,
+                   2.0 ** 53, 123456789.0, 1 / 3, -np.pi * 1e-5]
+        vals = np.random.default_rng(0).standard_normal(g.shape)
+        active = np.flatnonzero(g.active)
+        vals.flat[active[:len(special)]] = special
+        vals.flat[active[-len(special):]] = special
+        return g, fd.ScalarField(g, vals)
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("domain, h", [
+        (fd.Domain.box([-1.5, 0], [0.5, 1]), 0.125),
+        (fd.Domain.box([0, 0, 0], [1, 1, 1]), 0.25),
+        (fd.Domain.ball([0.1, -0.3], 0.9), 0.1),
+    ])
+    def test_field_bytes_match_savetxt(self, tmp_path, monkeypatch, rows,
+                                       domain, h):
+        if rows:
+            monkeypatch.setattr(serialize, "_CSV_ROWS", rows)
+        g, f = self._extreme_field(domain, h)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        serialize.field_to_csv(f, got)
+        _savetxt_csv(ref, g, g.active, {"value": f.values})
+        assert got.read_bytes() == ref.read_bytes()
+        if rows:
+            assert np.count_nonzero(g.active) % rows
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_mask_bytes_match_savetxt(self, tmp_path, monkeypatch, rows):
+        if rows:
+            monkeypatch.setattr(serialize, "_CSV_ROWS", rows)
+        g = fd.build_grid(fd.Domain.ball([0, 0, 0], 1.0), 0.25)
+        for mask in (g.interior, g.boundary, np.zeros(g.shape, bool)):
+            got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+            serialize.mask_to_csv(g, mask, got)
+            _savetxt_csv(ref, g, mask, {})
+            assert got.read_bytes() == ref.read_bytes()
+
+
 class TestFieldBinary:
     def test_magic_and_roundtrip(self, tmp_path):
         g, f = small_field()

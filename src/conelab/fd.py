@@ -16,12 +16,19 @@ Coefficients and stencil weights live on interior nodes only, in row-major
 (np.flatnonzero) order.  Every lattice difference finds each neighbour by
 flat-index arithmetic, position + offset . strides (_positions), and
 apply_L and hessian_field sum the gathered neighbour values in one
-function (_gather).  solve_dirichlet counts each row's nonzeros first and
-then fills the CSR arrays (indptr, indices, data) in blocks of rows, each a
-fixed-width block of columns and values per row in ascending flat offset,
-so no full-size copy of the matrix is made; apply_L weights and gathers the
-same blocks.  A CoeffField keeps the spectrum of its A as the distinct
-eigenvalue rows plus one row index per node.  A coefficient builder maps a
+function (_gather).  build_grid keeps the last 8 lattices of the process
+as read-only Grids shared by every caller, and the assembly is split the
+same way: the CSR pattern (indptr, indices, and per block of rows the take
+index of its interior columns and its boundary neighbours) depends on the
+lattice alone, and solve_dirichlet fills only the weights into it.  A
+lattice of at most _BLOCK_ROWS interior nodes is one block and keeps its
+pattern on its Grid, so a repeat solve there computes the _stencil weights,
+scatters them into data and subtracts the boundary terms from the
+right-hand side; a larger lattice builds its pattern again block by block
+as each assembly consumes it, so no full-size copy of the matrix is made.
+apply_L weights and gathers the same blocks.  A CoeffField keeps the
+spectrum of its A as the distinct eigenvalue rows plus one row index per
+node.  A coefficient builder maps a
 grid to a CoeffField and derives those rows from its own parameters, so
 eigvalsh per node runs only for a field given A alone.
 
@@ -35,14 +42,16 @@ row slabs, one per core, that run at once (row-block data parallelism, Saad
 section 11.5); each row's sum is the same, so the iterates are the same bits.
 Each solve is logged on the "conelab.fd" logger: one DEBUG record with the
 path taken, the unknowns, nnz, the number of row slabs, the seconds spent
-assembling, the iteration count, the final relative residual, the seconds
-spent in all, and the number of interior nodes with a wrong-sign
-off-diagonal weight; and a WARNING for every fallback to the direct solver
-with its reason.
+assembling, the iteration count, whether the lattice's pattern was kept or
+built, the final relative residual, the seconds spent in all, and the
+number of interior nodes with a wrong-sign off-diagonal weight; and a
+WARNING for every fallback to the direct solver with its reason.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import logging
 import os
 import time
@@ -170,6 +179,10 @@ class Grid:
         self.interior = interior
         self.boundary = active & ~interior
         self.active = active
+        # grids are shared (build_grid): no caller may write into one
+        for arr in (interior, self.boundary, active, *self.axes):
+            arr.flags.writeable = False
+        self._pattern = None    # the kept CSR pattern, see _lattice_pattern
         per_axis = [np.count_nonzero(interior.any(
             axis=tuple(j for j in range(n) if j != i)))
             for i in range(n)]
@@ -210,7 +223,16 @@ class Grid:
 
 
 def build_grid(domain, h):
-    return Grid(domain, h)
+    """The Grid of domain at spacing h, one per lattice (domain.to_dict()
+    and float(h)) among the last 8 built in the process, shared by every
+    caller and read-only.  Two threads may build one lattice twice; both
+    copies are equal."""
+    return _grid(json.dumps(domain.to_dict()), float(h))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(domain, h):
+    return Grid(Domain.from_dict(json.loads(domain)), h)
 
 
 @dataclass
@@ -454,14 +476,16 @@ def apply_L(u, coeff):
     return ScalarField(grid, out)
 
 
-def _stencil(coeff, rows=slice(None)):
+def _stencil(coeff, rows=slice(None), out=None):
     """(offset, weight) pairs of the assembled L in _difference_table
     order, one weight array per offset over the interior nodes of the slice
-    rows (default all nuk).  Per offset the A-weighted coefficients over the
-    scale are summed and divided once by h^2; the scales are powers of two,
-    so that division is exact.  c is added to the centre weight.  Each
-    weight of a node depends on that node's coefficients only, so a slice
-    of rows gets the same bits as the same rows of the whole.
+    rows (default all nuk); given out, one array per offset in that order
+    (an assembly block's columns), the weights are made in those arrays.
+    Per offset the A-weighted coefficients over the scale are summed and
+    divided once by h^2; the scales are powers of two, so that division is
+    exact.  c is added to the centre weight.  Each weight of a node depends
+    on that node's coefficients only, so a slice of rows gets the same bits
+    as the same rows of the whole.
     """
     n, h = coeff.grid.dim, coeff.grid.h
     acc = {}
@@ -470,8 +494,13 @@ def _stencil(coeff, rows=slice(None)):
         a = coeff.A[rows, i, j] * ((1 if i == j else 2) / scale)
         for off, k in terms:
             # k * a, not a: each offset's sum is an array of its own, so it
-            # is divided in place, with no second copy of the weights
-            acc[off] = acc[off] + k * a if off in acc else k * a
+            # is summed and divided in place, with no second copy of the
+            # weights
+            if off in acc:
+                acc[off] += k * a
+            else:
+                acc[off] = np.multiply(
+                    k, a, out=None if out is None else out[len(acc)])
     weights = list(acc.items())
     for _, s in weights:
         s /= h ** 2
@@ -529,9 +558,12 @@ def _solve_linear(A, rhs):
         iterations += 1
     op, slabs = _row_slabs(A)
     maxiter = int(50 * np.sqrt(nuk)) + 100
-    sol, info = bicgstab(op, rhs, rtol=SOLVE_RTOL, atol=0.0,
-                         M=sparse.diags(1.0 / A.diagonal()), maxiter=maxiter,
-                         callback=count)
+    # bound to a name: numpy's temporary elision overwrote an unnamed one
+    dinv = 1.0 / A.diagonal()
+    jacobi = LinearOperator(A.shape, matvec=lambda x: x * dinv,
+                            dtype=A.dtype)
+    sol, info = bicgstab(op, rhs, rtol=SOLVE_RTOL, atol=0.0, M=jacobi,
+                         maxiter=maxiter, callback=count)
     res = _rel_residual(op, sol, rhs)
     if info == 0 and res <= RESIDUAL_TOL:     # False for a NaN residual
         return sol, "bicgstab", iterations, res, slabs
@@ -559,7 +591,7 @@ def solve_dirichlet(coeff, f, g):
     """
     t0 = time.perf_counter()
     grid = f.grid
-    A, rhs, n_wrong = _assemble(coeff, f, g)
+    A, rhs, n_wrong, kept = _assemble(coeff, f, g)
     assembled = time.perf_counter() - t0
     nuk = len(rhs)
     if n_wrong:
@@ -569,9 +601,10 @@ def solve_dirichlet(coeff, f, g):
                       MonotonicityWarning, stacklevel=2)
     sol, path, iterations, res, slabs = _solve_linear(A, rhs)
     log.debug("solve: path=%s unknowns=%d nnz=%d slabs=%d assemble=%.4f "
-              "iterations=%d rel_res=%.2e elapsed=%.4f wrong_sign=%d", path,
-              nuk, A.nnz, slabs, assembled, iterations, res,
-              time.perf_counter() - t0, n_wrong)
+              "iterations=%d pattern=%s rel_res=%.2e elapsed=%.4f "
+              "wrong_sign=%d", path, nuk, A.nnz, slabs, assembled, iterations,
+              "kept" if kept else "built", res, time.perf_counter() - t0,
+              n_wrong)
     out = np.where(grid.boundary, g.values, 0.0)
     out[grid.interior] = sol
     return ScalarField(grid, out)
@@ -579,70 +612,117 @@ def solve_dirichlet(coeff, f, g):
 
 def _assemble(coeff, f, g):
     """CSR matrix and right-hand side of the interior system of
-    solve_dirichlet, and the number of interior nodes with a wrong-sign
-    off-diagonal weight.
+    solve_dirichlet, the number of interior nodes with a wrong-sign
+    off-diagonal weight, and whether the lattice's pattern was kept from
+    an earlier assembly.
 
-    indptr comes first, from the neighbour index alone, so data and indices
-    are allocated at their exact nnz.  The rows are then filled in blocks of
-    _BLOCK_ROWS: _stencil weights the block's rows only, a (rows, width)
-    block of columns and values takes each weight in ascending flat offset
-    (the sorted column order of a canonical CSR row), the boundary terms
-    leave the right-hand side in _difference_table order, and the interior
-    columns are taken straight into the block's slice of the CSR arrays.
-    So the peak holds the CSR and one block, not a full-size block and
-    every weight array at once.
+    The pattern (_lattice_pattern) fixes indptr and indices; here only the
+    weights are filled in, block by block of rows: _stencil makes each
+    weight of the block's rows in its slot of a (rows, width) block
+    (ascending flat offset, the sorted column order of a canonical CSR
+    row), the boundary terms leave the right-hand side in
+    _difference_table order, and the take index moves the interior
+    columns' values straight into the block's slice of data.  So the peak
+    holds the CSR and one block, not a full-size block and every weight
+    array at once.
     """
     grid = f.grid
+    (indptr, indices, slots, blocks), kept = _lattice_pattern(grid)
+    gflat = g.values.ravel()
+    data = np.empty(indptr[-1])
+    rhs = -f.values[grid.interior].astype(float)
+    wrong_sign = 0
+    for r0, r1, take, hits in blocks:
+        # the weights straight into their slots of the block: after the
+        # pattern's block, whose columns are freed by then
+        vals = np.empty((r1 - r0, len(slots)))
+        stencil = _stencil(coeff, slice(r0, r1),
+                           [vals[:, slot] for slot in slots])
+        rhs_rows = rhs[r0:r1]    # a view: writes land in rhs
+        wrong = np.zeros(r1 - r0, dtype=bool)
+        for (off, w), hit in zip(stencil, hits):
+            if any(off):
+                wrong |= w < -1e-12
+            if hit is not None:
+                rows, nb = hit
+                rhs_rows[rows] -= w[rows] * gflat[nb]
+        wrong_sign += int(np.count_nonzero(wrong))
+        # mode "clip" takes straight into out, which "raise" would buffer
+        np.take(vals, take, out=data[indptr[r0]:indptr[r1]], mode="clip")
+        # free this block (the weights are views of it) and its pattern
+        # before the next block's pattern is built
+        del vals, stencil, w, take, hits
+    A = sparse.csr_matrix((data, indices, indptr), shape=(len(rhs),) * 2)
+    return A, rhs, wrong_sign, kept
+
+
+def _lattice_pattern(grid):
+    """(pattern, kept): grid's _pattern, and whether it was kept from an
+    earlier assembly.  A lattice of at most _BLOCK_ROWS interior nodes is
+    one block whatever _BLOCK_ROWS is, so its pattern is built once and
+    kept on the grid; a larger lattice gets a new pattern whose blocks are
+    built as they are consumed.  The kept indptr, indices and boundary
+    hits are read-only, so an in-place scipy op on a matrix that shares
+    them fails instead of changing another matrix; the take index is not,
+    since np.take copies a read-only index on every call."""
+    pattern = grid._pattern
+    if pattern is not None and len(pattern[0]) - 1 <= _BLOCK_ROWS:
+        return pattern, True
+    pattern = _pattern(grid)
+    if len(pattern[0]) - 1 > _BLOCK_ROWS:
+        return pattern, False
+    indptr, indices, slots, blocks = pattern
+    blocks = tuple(blocks)      # one block: consuming it fills indices
+    hits = blocks[0][3]
+    for arr in (indptr, indices, *(a for hit in hits if hit for a in hit)):
+        arr.flags.writeable = False
+    # a race may build it twice: both are equal
+    grid._pattern = indptr, indices, slots, blocks
+    return grid._pattern, False
+
+
+def _pattern(grid):
+    """The CSR pattern of grid's interior system, which depends on the
+    lattice alone: (indptr, indices, slots, blocks).  slots gives each
+    stencil offset, in _difference_table order, its slot in a row: its
+    rank in ascending flat offset.  blocks yields (r0, r1, take, hits) for
+    the rows r0:r1 of each block of at most _BLOCK_ROWS: take indexes the
+    entries of the block's (rows, slots) array whose neighbour is an
+    unknown, and hits has one entry per offset, None or the block rows
+    whose neighbour there is a boundary node and those neighbours' flat
+    positions.  indices is filled as each block is consumed.
+
+    indptr comes first, from the neighbour index alone, so indices (and
+    the data of each assembly) are allocated at their exact nnz."""
     interior = grid.interior
     pos, strides = _positions(interior)
     nuk = pos.size
     index = np.full(interior.size, -1, dtype=np.int32)
     index[pos] = np.arange(nuk, dtype=np.int32)
     boundary = grid.boundary.ravel()
-    gflat = g.values.ravel()
-
-    # every offset of the stencil is a term of a second difference; its
-    # slot in a row is its rank in ascending flat offset
-    offsets = list(dict.fromkeys(
-        off for *_, terms in _difference_table(grid.dim)
-        for off, _ in terms))
-    flat = dict(zip(offsets, (np.array(offsets) @ strides).tolist()))
-    slot = {off: s for s, off in enumerate(sorted(flat, key=flat.get))}
-    indptr = _indptr(index, pos, flat.values())
+    # every offset of the stencil is a term of a second difference
+    offsets = dict.fromkeys(off for *_, terms in _difference_table(grid.dim)
+                            for off, _ in terms)
+    flat = (np.array(list(offsets)) @ strides).tolist()
+    slots = np.argsort(np.argsort(flat)).tolist()
+    indptr = _indptr(index, pos, flat)
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
-    rhs = -f.values[interior].astype(float)
-    wrong_sign = 0
-    for r0 in range(0, nuk, _BLOCK_ROWS):
-        rows = slice(r0, min(r0 + _BLOCK_ROWS, nuk))
-        # the weights first: _stencil's own peak then holds no block
-        stencil = _stencil(coeff, rows)
-        p = pos[rows]
-        rhs_rows = rhs[rows]    # a view: writes land in rhs
+
+    def block(r0):
+        r1 = min(r0 + _BLOCK_ROWS, nuk)
+        p = pos[r0:r1]
         cols = np.empty((p.size, len(flat)), dtype=np.int32)
-        vals = np.empty((p.size, len(flat)))
-        wrong = np.zeros(p.size, dtype=bool)
-        while stencil:
-            # each weight array is freed once it is in the block
-            off, w = stencil.pop(0)
-            if any(off):
-                wrong |= w < -1e-12
-            nb = p + flat[off]
-            cols[:, slot[off]] = index[nb]
-            vals[:, slot[off]] = w
-            onb = boundary[nb]
-            if np.any(onb):
-                rhs_rows[onb] -= w[onb] * gflat[nb[onb]]
-        wrong_sign += int(np.count_nonzero(wrong))
-        inner = np.flatnonzero(cols >= 0)
-        out = slice(indptr[rows.start], indptr[rows.stop])
+        hits = []
+        for d, slot in zip(flat, slots):
+            nb = p + d
+            cols[:, slot] = index[nb]
+            rows = np.flatnonzero(boundary[nb])
+            hits.append((rows, nb[rows]) if rows.size else None)
+        take = np.flatnonzero(cols >= 0)
         # mode "clip" takes straight into out, which "raise" would buffer
-        np.take(cols, inner, out=indices[out], mode="clip")
-        np.take(vals, inner, out=data[out], mode="clip")
-        # free this block before the next one's weights are made
-        del cols, vals, inner
-    A = sparse.csr_matrix((data, indices, indptr), shape=(nuk, nuk))
-    return A, rhs, wrong_sign
+        np.take(cols, take, out=indices[indptr[r0]:indptr[r1]], mode="clip")
+        return r0, r1, take, hits
+    return indptr, indices, slots, map(block, range(0, nuk, _BLOCK_ROWS))
 
 
 def _indptr(index, pos, flat):

@@ -16,9 +16,9 @@ fields only the analysis reads (k, q, p, sigma, ...), so experiments on one
 problem share one solve.  Only calls in one process share: a library
 caller or one `conelab suite` battery, e.g. local_max at several p on one
 problem; separate `conelab` commands share nothing.  The cache holds the
-grid and u with their arrays read-only; a hit rebuilds the coefficients
-and the source on the cached grid.  A solve that raises is not cached,
-and a hit emits no MonotonicityWarning again.
+grid, read-only from fd.build_grid, and u with its values read-only; a hit
+rebuilds the coefficients and the source on the cached grid.  A solve that
+raises is not cached, and a hit emits no MonotonicityWarning again.
 """
 
 from __future__ import annotations
@@ -426,9 +426,7 @@ def _solve(cfg, h):
     if cached is None:
         u = fd.solve_dirichlet(coeff, f,
                                fd.ScalarField(grid, np.zeros(grid.shape)))
-        for arr in (u.values, grid.interior, grid.boundary, grid.active,
-                    *grid.axes):
-            arr.flags.writeable = False
+        u.values.flags.writeable = False
         with _solved_lock:
             _solved[key] = grid, u
             while len(_solved) > SOLVE_CACHE_SIZE:

@@ -79,6 +79,26 @@ class TestGrid:
         bp = g.boundary_points()
         assert np.allclose(np.linalg.norm(bp, axis=-1), 1.0)
 
+    def test_one_shared_grid_per_lattice(self):
+        # an equal domain and h give the same Grid, whatever objects
+        # carry them; any other domain or h gives another
+        g = fd.build_grid(unit_ball(3), 0.25)
+        same = fd.build_grid(fd.Domain.ball([0, 0, 0], 1), np.float64(0.25))
+        assert same is g
+        others = [fd.build_grid(unit_ball(3), 0.2),
+                  fd.build_grid(fd.Domain.ball([0, 0, 0], 1.5), 0.25),
+                  fd.build_grid(fd.Domain.ball([0.25, 0, 0], 1), 0.25),
+                  fd.build_grid(fd.Domain.box([-1] * 3, [1] * 3), 0.25)]
+        assert len({id(g), *map(id, others)}) == 5
+
+    @pytest.mark.parametrize("name", ["interior", "boundary", "active",
+                                      "axes"])
+    def test_grid_read_only(self, name):
+        g = fd.build_grid(unit_ball(2), 0.2)
+        for arr in (g.axes if name == "axes" else [getattr(g, name)]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
 
 class TestCoeff:
     def test_gs_entries(self):
@@ -366,6 +386,33 @@ class TestSolverPolicy:
         assemble = float(msg.split("assemble=")[1].split()[0])
         assert 0.0 <= assemble <= float(msg.split("elapsed=")[1].split()[0])
 
+    def test_debug_record_names_the_pattern(self, caplog):
+        # the first solve on a lattice builds its pattern, the next keeps it
+        g, f, bc = _policy_problem()
+        msgs = [_solve_records(caplog, builder(g), f, bc)[1][-1].getMessage()
+                for builder in (fd.identity_coeff(), fd.constant_coeff(
+                    np.diag([4.0, 1.0, 0.25]), c=-2.0))]
+        assert [re.search(r" assemble=\d+\.\d{4} iterations=\d+ "
+                          r"pattern=(\w+) rel_res=", m)[1]
+                for m in msgs] == ["built", "kept"]
+
+    def test_jacobi_diagonal_unchanged(self, monkeypatch):
+        # 54,088 unknowns, above numpy's temporary elision threshold: the
+        # preconditioner's reciprocal diagonal is the same after the solve
+        g, f, bc = _policy_problem(3, 1 / 24)
+        seen, solve = [], fd.bicgstab
+
+        def spy(A, b, **kwargs):
+            seen.append(kwargs["M"])
+            return solve(A, b, **kwargs)
+        monkeypatch.setattr(fd, "bicgstab", spy)
+        systems = _solved_systems(monkeypatch)
+        fd.solve_dirichlet(fd.identity_coeff()(g), f, bc)
+        (A, _), = systems
+        (M,) = seen
+        x = np.random.default_rng(5).standard_normal(A.shape[0])
+        assert M.matvec(x).tobytes() == (x * (1.0 / A.diagonal())).tobytes()
+
     @pytest.mark.parametrize("bicgstab, reason", [
         (_failed_bicgstab, "info=1"),
         (lambda A, b, **kw: (np.ones_like(b), 0), "rel res="),
@@ -512,6 +559,86 @@ class TestAssemblyOracle:
         return len(rhs)
 
 
+class TestKeptPattern:
+    """A lattice of one block keeps its CSR pattern: every later assembly
+    on it fills weights only, with the reference bits."""
+
+    @ORACLE_CASES
+    def test_first_and_repeat_bit_equal(self, domain, h, builder, warns):
+        g, f, bc = _policy_problem(domain, h)
+        coeff = builder(g)
+        assert np.count_nonzero(g.interior) <= fd._BLOCK_ROWS
+        # the repeat with other source and boundary data, so no rhs term
+        # can be left from the first
+        f2 = fd.field_from_function(g, _wavy)
+        bc2 = fd.boundary_field(g, lambda x: 1.0 - x[..., -1] ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            for (src, data), kept in (((f, bc), False), ((f2, bc2), True)):
+                got = fd._assemble(coeff, src, data)
+                assert got[3] == kept
+                _assert_reference_bits(got, _coo_reference(coeff, src, data))
+
+    def test_shared_pattern_is_not_sorted_in_place(self):
+        g, f, bc = _policy_problem()
+        coeff = fd.identity_coeff()(g)
+        fd._assemble(coeff, f, bc)
+        A = fd._assemble(coeff, f, bc)[0]
+        A.has_sorted_indices = False
+        with pytest.raises(ValueError, match="read-only"):
+            A.sort_indices()
+
+    def test_concurrent_assemblies(self):
+        # one lattice, two coefficient fields, assembled from six threads
+        # at once from a lattice with no kept pattern: each gets the
+        # serial bits
+        g, f, bc = _policy_problem()
+        coeffs = [fd.identity_coeff()(g),
+                  fd.constant_coeff(np.diag([4.0, 1.0, 0.25]), c=-2.0)(g)]
+        serial = [self._bits(fd._assemble(c, f, bc)) for c in coeffs]
+        g._pattern = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                jobs = [pool.submit(fd._assemble, coeffs[i % 2], f, bc)
+                        for i in range(12)]
+                got = [self._bits(job.result(timeout=120)) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [serial[i % 2] for i in range(12)]
+
+    def test_smaller_blocks_never_served_the_kept_pattern(self, monkeypatch):
+        g, f, bc = _policy_problem()
+        coeff = fd.coeff_gilbarg_serrin(3, 0.25)(g)
+        ref = _coo_reference(coeff, f, bc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            assert not fd._assemble(coeff, f, bc)[3]
+            kept = g._pattern
+            monkeypatch.setattr(fd, "_BLOCK_ROWS", 11)
+            for _ in range(2):
+                got = fd._assemble(coeff, f, bc)
+                assert not got[3] and g._pattern is kept
+                _assert_reference_bits(got, ref)
+            monkeypatch.undo()
+            assert fd._assemble(coeff, f, bc)[3]
+
+    @staticmethod
+    def _bits(assembled):
+        A, rhs = assembled[:2]
+        return (A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes(),
+                rhs.tobytes())
+
+
+def _assert_reference_bits(assembled, reference):
+    """An _assemble result equals the _coo_reference one, bit for bit."""
+    (A, rhs, wrong, _), (ref, ref_rhs, ref_wrong) = assembled, reference
+    for part in ("indptr", "indices", "data"):
+        assert getattr(A, part).tobytes() == getattr(ref, part).tobytes()
+    assert rhs.tobytes() == ref_rhs.tobytes() and wrong == ref_wrong
+
+
 class TestRowSlabs:
     """The row-slab matvec of a large BiCGSTAB solve is bit-equal to A @ x,
     so the iterates and the solution are the serial path's bits."""
@@ -523,7 +650,7 @@ class TestRowSlabs:
         g, f, bc = _policy_problem(domain, h)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fd.MonotonicityWarning)
-            A, _, _ = fd._assemble(builder(g), f, bc)
+            A = fd._assemble(builder(g), f, bc)[0]
         # 11 rows a block: every case splits into `cores` slabs, whose
         # edges fall inside blocks
         monkeypatch.setattr(fd, "_BLOCK_ROWS", 11)
@@ -540,7 +667,7 @@ class TestRowSlabs:
     def test_slabs_are_views(self, monkeypatch):
         # only each slab's shifted indptr is new: data and indices are A's
         g, f, bc = _policy_problem(unit_box(3), 1 / 16)
-        A, _, _ = fd._assemble(fd.identity_coeff()(g), f, bc)
+        A = fd._assemble(fd.identity_coeff()(g), f, bc)[0]
         monkeypatch.setattr(fd, "CORES", 3)
         monkeypatch.setattr(fd, "_BLOCK_ROWS", 1000)
         tracemalloc.start()
@@ -686,12 +813,15 @@ class TestMemoryBudget:
     interior storage at 3.6x and 3.0x, and 2.3x for the CSR once the
     assembly frees each stencil weight as it is written.  Assembly in
     blocks of fd._BLOCK_ROWS rows, straight into CSR arrays of the exact
-    nnz, peaks at 2.1x there (two blocks, the first of 8,192 rows), and at
-    h = 1/24 (54,088 unknowns, seven blocks) at 1.4x for _assemble and
-    1.5x for solve_dirichlet, where BiCGSTAB's vectors set the peak; a
-    full-size block peaked at 2.3x at both sizes.  _stencil peaks at
-    1.05x the weights it returns, where dividing every sum into a new dict
-    peaked at 1.7x."""
+    nnz, with the weights made in the block's columns, peaks at 1.9x there
+    (two blocks, the first of 8,192 rows), and at h = 1/24 (54,088
+    unknowns, seven blocks) at 1.3x for _assemble and 1.5x for
+    solve_dirichlet, where BiCGSTAB's vectors set the peak; a full-size
+    block peaked at 2.3x at both sizes.  At h = 1/12 (6,272 unknowns, one
+    block) the first assembly, which keeps the pattern on the grid, peaks
+    at 2.6x and a repeat at 1.5x, where building the pattern on every
+    assembly peaked at 3.0x.  _stencil peaks at 1.05x the weights it
+    returns, where dividing every sum into a new dict peaked at 1.7x."""
 
     def test_coeff_peak(self):
         g = fd.build_grid(unit_ball(3), 1 / 16)
@@ -736,6 +866,14 @@ class TestMemoryBudget:
     def test_solve_peak(self):
         peak, csr = self._solve_peak(1 / 16, fd.solve_dirichlet)
         assert peak <= 2.6 * csr
+
+    def test_kept_pattern_peak(self):
+        # h = 1/12, 6,272 unknowns, one block: the first assembly keeps the
+        # pattern, so a repeat allocates data, rhs and one block's weights
+        first, csr = self._solve_peak(1 / 12, fd._assemble)
+        repeat, _ = self._solve_peak(1 / 12, fd._assemble)
+        assert first <= 3.02 * csr
+        assert repeat <= 2.3 * csr
 
     @pytest.mark.parametrize("stage", ["_assemble", "solve_dirichlet"])
     def test_blocked_peak(self, stage):

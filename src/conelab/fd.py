@@ -26,11 +26,13 @@ pattern on its Grid, so a repeat solve there computes the _stencil weights,
 scatters them into data and subtracts the boundary terms from the
 right-hand side; a larger lattice builds its pattern again block by block
 as each assembly consumes it, so no full-size copy of the matrix is made.
-apply_L weights and gathers the same blocks.  A CoeffField keeps the
-spectrum of its A as the distinct eigenvalue rows plus one row index per
-node.  A coefficient builder maps a
-grid to a CoeffField and derives those rows from its own parameters, so
-eigvalsh per node runs only for a field given A alone.
+Each Grid and kept pattern is built once per process, whatever the threads.
+apply_L weights and gathers the same blocks.  Grid.radius_map is the one
+node-to-centre distance of a ball lattice.  A CoeffField keeps the spectrum
+of its A as the distinct eigenvalue rows plus one row index per node.  A
+coefficient builder maps a grid to a CoeffField and derives those rows from
+its own parameters, so eigvalsh per node runs only for a field given A
+alone.
 
 Dirichlet systems of every size are solved by Jacobi-preconditioned BiCGSTAB
 (Saad, Iterative Methods for Sparse Linear Systems, 2003).  When it does not
@@ -54,6 +56,7 @@ import functools
 import json
 import logging
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +72,8 @@ MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
 SOLVE_RTOL = 1e-10      # relative tolerance BiCGSTAB iterates to
 _BLOCK_ROWS = 8192      # interior rows per assembly block and matvec slab
+# held while a lattice's Grid or kept pattern is built, so each is built once
+_LATTICE_LOCK = threading.Lock()
 # the keys of a domain's dict beside "kind": the arguments of Domain.<kind>
 DOMAIN_KEYS = {"ball": ("center", "radius"), "box": ("lo", "hi")}
 
@@ -172,8 +177,7 @@ class Grid:
             m = int(np.ceil(domain.radius / h)) + 1
             self.axes = [domain.center[i] + (np.arange(-m, m) + 0.5) * h
                          for i in range(n)]
-            r = self._radius_map()
-            interior = r < domain.radius - h / 2
+            interior = self.radius_map() < domain.radius - h / 2
             active = _cube_morph(interior, 1, grow=True)
         self.shape = interior.shape
         self.interior = interior
@@ -194,7 +198,8 @@ class Grid:
     def dim(self):
         return self.domain.dim
 
-    def _radius_map(self):
+    def radius_map(self):
+        """Each node's distance from the center of a ball domain."""
         c = self.domain.center
         mesh = np.meshgrid(*[ax - c[i] for i, ax in enumerate(self.axes)],
                            indexing="ij")
@@ -225,9 +230,9 @@ class Grid:
 def build_grid(domain, h):
     """The Grid of domain at spacing h, one per lattice (domain.to_dict()
     and float(h)) among the last 8 built in the process, shared by every
-    caller and read-only.  Two threads may build one lattice twice; both
-    copies are equal."""
-    return _grid(json.dumps(domain.to_dict()), float(h))
+    caller and read-only."""
+    with _LATTICE_LOCK:
+        return _grid(json.dumps(domain.to_dict()), float(h))
 
 
 @functools.lru_cache(maxsize=8)
@@ -657,28 +662,27 @@ def _assemble(coeff, f, g):
 
 
 def _lattice_pattern(grid):
-    """(pattern, kept): grid's _pattern, and whether it was kept from an
-    earlier assembly.  A lattice of at most _BLOCK_ROWS interior nodes is
-    one block whatever _BLOCK_ROWS is, so its pattern is built once and
-    kept on the grid; a larger lattice gets a new pattern whose blocks are
-    built as they are consumed.  The kept indptr, indices and boundary
-    hits are read-only, so an in-place scipy op on a matrix that shares
-    them fails instead of changing another matrix; the take index is not,
-    since np.take copies a read-only index on every call."""
-    pattern = grid._pattern
-    if pattern is not None and len(pattern[0]) - 1 <= _BLOCK_ROWS:
-        return pattern, True
-    pattern = _pattern(grid)
-    if len(pattern[0]) - 1 > _BLOCK_ROWS:
-        return pattern, False
-    indptr, indices, slots, blocks = pattern
-    blocks = tuple(blocks)      # one block: consuming it fills indices
-    hits = blocks[0][3]
-    for arr in (indptr, indices, *(a for hit in hits if hit for a in hit)):
-        arr.flags.writeable = False
-    # a race may build it twice: both are equal
-    grid._pattern = indptr, indices, slots, blocks
-    return grid._pattern, False
+    """(pattern, kept): the CSR pattern of grid, and whether it was kept
+    from an earlier assembly.  A lattice of more than _BLOCK_ROWS interior
+    nodes gets a new pattern whose blocks are built as they are consumed.
+    A smaller one is one block, whose pattern is built once per process,
+    under _LATTICE_LOCK, and kept on the grid as _pattern.  The kept
+    indptr, indices and boundary hits are read-only, so an in-place scipy
+    op on a matrix that shares them fails instead of changing another
+    matrix; the take index is not, since np.take copies a read-only index
+    on every call."""
+    if np.count_nonzero(grid.interior) > _BLOCK_ROWS:
+        return _pattern(grid), False
+    with _LATTICE_LOCK:
+        if grid._pattern is not None:
+            return grid._pattern, True
+        indptr, indices, slots, blocks = _pattern(grid)
+        blocks = tuple(blocks)      # one block: consuming it fills indices
+        hits = blocks[0][3]
+        for arr in (indptr, indices, *(a for hit in hits if hit for a in hit)):
+            arr.flags.writeable = False
+        grid._pattern = indptr, indices, slots, blocks
+        return grid._pattern, False
 
 
 def _pattern(grid):

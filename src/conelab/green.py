@@ -1,8 +1,10 @@
 """Contact-set surrogates, ball Green's functions, the rho*_k field and
 the explicit constants of the sharp sup-bound.
 
-Supported Green's functions: balls only, k >= n/2.  The k = n/2 branch is
-normalized as log(|x-y|/R) so it vanishes on the boundary sphere.
+Supported Green's functions: balls only, k >= n/2.  The ball Green function
+is radial.power_profile(2 - n/k) of the distance to the pole, scaled and
+shifted so it vanishes on the boundary sphere: s^p - R^p over p, and
+log s - log R on the k = n/2 branch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import symcone
 from .fd import ScalarField, hessian_field, lq_norm, sup_inf_osc
-from .radial import RadialProfile, unit_ball_volume
+from .radial import RadialProfile, power_profile, unit_ball_volume
 
 log = logging.getLogger(__name__)
 
@@ -65,42 +67,35 @@ class GreenBallSpec:
         return 2 * self.k == self.n
 
 
+def green_ball_profile(spec):
+    """RadialProfile of G_y as a function of s = |x - y|: the k-Hessian
+    profile s^p, p = 2 - n/k, of radial.power_profile (log s at k = n/2),
+    times (C(n,k) omega_n)^{-1/k} / p (without the 1/p at k = n/2) and
+    shifted to vanish at s = R."""
+    n, k, R = spec.n, spec.k, spec.R
+    p = 2.0 - n / k
+    power = power_profile(p)
+    c = 1.0 / (comb(n, k) * unit_ball_volume(n)) ** (1.0 / k)
+    a = c if spec.log_branch else c / p
+    u_R = power.u(R)
+    return RadialProfile(lambda s: a * (power.u(s) - u_R),
+                         du=lambda s: a * power.du(s),
+                         d2u=lambda s: a * power.d2u(s))
+
+
 def green_ball_radial(spec, s):
     """Green's function value at distance s from the pole."""
-    n, k, R = spec.n, spec.k, spec.R
     s = np.asarray(s, dtype=float)
-    if np.any(s > R * (1 + 1e-12)):
+    if np.any(s > spec.R * (1 + 1e-12)):
         raise ValueError("point outside the ball")
-    cnk_wn = comb(n, k) * unit_ball_volume(n)
-    if spec.log_branch:
-        return np.log(s / R) / cnk_wn ** (1.0 / k)
-    p = 2.0 - n / k
-    return (s ** p - R ** p) / (p * cnk_wn ** (1.0 / k))
-
-
-def green_ball_profile(spec):
-    """RadialProfile of G_y as a function of s = |x - y|."""
-    n, k, R = spec.n, spec.k, spec.R
-    cnk_wn = comb(n, k) * unit_ball_volume(n)
-    c = 1.0 / cnk_wn ** (1.0 / k)
-    if spec.log_branch:
-        return RadialProfile(lambda s: c * np.log(np.asarray(s) / R),
-                             du=lambda s: c / np.asarray(s),
-                             d2u=lambda s: -c / np.asarray(s) ** 2)
-    p = 2.0 - n / k
-    return RadialProfile(
-        lambda s: c / p * (np.asarray(s) ** p - R ** p),
-        du=lambda s: c * np.asarray(s) ** (p - 1),
-        d2u=lambda s: c * (p - 1) * np.asarray(s) ** (p - 2))
+    return green_ball_profile(spec).u(s)
 
 
 def green_depth(n, k, R):
     """-G_y(y) > 0 for the ball of radius R (k > n/2 only)."""
     if 2 * k <= n:
         raise ValueError("finite pole depth requires k > n/2")
-    p = 2.0 - n / k
-    cnk_wn = comb(n, k) * unit_ball_volume(n)
-    return R ** p / (p * cnk_wn ** (1.0 / k))
+    return -float(green_ball_profile(GreenBallSpec(n, k, R)).u(0.0))
 
 
 def abp_constant(n, k, diam):

@@ -15,10 +15,11 @@ the process.  A solution is keyed by what defines its Dirichlet problem
 fields only the analysis reads (k, q, p, sigma, ...), so experiments on one
 problem share one solve.  Only calls in one process share: a library
 caller or one `conelab suite` battery, e.g. local_max at several p on one
-problem; separate `conelab` commands share nothing.  The cache holds the
-grid, read-only from fd.build_grid, and u with its values read-only; a hit
-rebuilds the coefficients and the source on the cached grid.  A solve that
-raises is not cached, and a hit emits no MonotonicityWarning again.
+problem; separate `conelab` commands share nothing.  The cache holds u with
+its values read-only; its grid is u.grid, the lattice's read-only Grid from
+fd.build_grid, and a hit rebuilds the coefficients and the source on it.  A
+solve that raises is not cached, and a hit emits no MonotonicityWarning
+again.  The ball experiments check their inner balls before any solve.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def rhs_field(cfg, grid):
 # solutions _solve keeps, least recently used first: a three-rung ladder
 # plus one more problem
 SOLVE_CACHE_SIZE = 4
-_solved = OrderedDict()     # problem key -> (grid, u)
+_solved = OrderedDict()     # problem key -> u
 _solved_lock = threading.Lock()
 
 
@@ -411,30 +412,41 @@ def _problem_key(cfg, h):
 
 def _solve(cfg, h):
     """(grid, coeff, f, u) of Lu = -f with zero boundary data at spacing
-    h.  The grid and u of a problem solved before come from the cache."""
+    h.  The u of a problem solved before comes from the cache, and its
+    grid is u.grid."""
     key = _problem_key(cfg, h)
     with _solved_lock:
-        cached = _solved.get(key)
-        if cached is not None:
+        u = _solved.get(key)
+        if u is not None:
             _solved.move_to_end(key)
-    if cached is not None:
-        grid, u = cached
-    else:
-        grid = fd.build_grid(cfg.domain, h)
+    hit = u is not None
+    grid = u.grid if hit else fd.build_grid(cfg.domain, h)
     coeff = coeff_builder(cfg)(grid)
     f = rhs_field(cfg, grid)
-    if cached is None:
+    if not hit:
         u = fd.solve_dirichlet(coeff, f,
                                fd.ScalarField(grid, np.zeros(grid.shape)))
         u.values.flags.writeable = False
         with _solved_lock:
-            _solved[key] = grid, u
+            _solved[key] = u
             while len(_solved) > SOLVE_CACHE_SIZE:
                 _solved.popitem(last=False)
-    log.debug("solve: cache=%s h=%g unknowns=%d",
-              "miss" if cached is None else "hit", h,
-              np.count_nonzero(grid.interior))
+    log.debug("solve: cache=%s h=%g unknowns=%d", "hit" if hit else "miss",
+              h, np.count_nonzero(grid.interior))
     return grid, coeff, f, u
+
+
+def _inner_ball(cfg, h, frac, field, layers=0):
+    """The nodes of cfg's ball lattice at spacing h layers cube layers inside
+    the boundary (0: interior) and within frac R of the centre; a ValueError
+    names field when there are none."""
+    grid = fd.build_grid(cfg.domain, h)
+    inner = (fd.interior_eroded(grid, layers)
+             & (grid.radius_map() < frac * grid.domain.radius))
+    where = f"{layers} layers inside the boundary and " if layers else ""
+    _require(np.any(inner), f"field '{field}': spacing {h:g} leaves no "
+             f"node {where}within {frac:g} R")
+    return inner
 
 
 def exp_max_principle(cfg, rep):
@@ -458,16 +470,21 @@ def exp_max_principle(cfg, rep):
          "margin": margins})
 
 
-def sharpness_family(n, k, eps):
-    """w_eps = 1 - u_{alpha,eps} at the critical power alpha = 2 - n/k:
-    returns (profile of L w_eps, sup w_eps)."""
-    alpha = 2.0 - n / k
+def _gs_family(n, alpha, eps):
+    """(u_eps, L u_eps): the mollified r^alpha profile (log r at alpha = 0),
+    increasing in r, and L of gs_spectrum(n, alpha): A = I + beta x x^T/|x|^2
+    with 1 + beta its radial eigenvalue."""
     beta = symcone.gs_spectrum(n, alpha)[-1] - 1.0
     prof = radial.mollified_power_profile(alpha, eps)
-    lu = radial.radial_apply(n, beta, prof)
-    # L w = -L u; the norm is sign-insensitive
-    sup_w = 1.0 - (1.0 - alpha / 2.0) * eps ** alpha
-    return lu, sup_w
+    return prof, radial.radial_apply(n, beta, prof)
+
+
+def sharpness_family(n, k, eps):
+    """w_eps = 1 - u_eps at the critical power alpha = 2 - n/k: returns
+    (profile of L u_eps, sup w_eps = 1 - u_eps(0)); L w = -L u, and the norm
+    is sign-insensitive."""
+    prof, lu = _gs_family(n, 2.0 - n / k, eps)
+    return lu, 1.0 - float(prof.u(0.0))
 
 
 def _require_rungs(cfg, least, why):
@@ -526,12 +543,10 @@ def exp_log_family(cfg, rep):
                    "line")
     target = 2.0 * (n - 1) * radial.unit_ball_volume(n) ** (2.0 / n)
     norms, infs = [], []
-    rs = np.linspace(0.0, 1.0, 20001)
     for eps in cfg.eps_ladder:
-        prof = radial.mollified_power_profile(0.0, eps)
-        lu = radial.radial_apply(n, n - 2, prof)
+        prof, lu = _gs_family(n, 0.0, eps)
         nm = radial.radial_lq_norm(lu, n, cfg.q, (0.0, 1.0))
-        inf_u = float(np.min(prof.u(rs)))
+        inf_u = float(prof.u(0.0))      # u_eps increases in r
         norms.append(nm)
         infs.append(inf_u)
         rep.runs.append({"eps": eps, "norm": nm, "inf": inf_u,
@@ -557,12 +572,12 @@ def exp_local_max(cfg, rep):
     stable under h-refinement (max/min <= 1.5), no value asserted.  The
     rhs term takes the least rho*_k over the lattice."""
     R = cfg.domain.radius
+    # every rung is checked before any solve
+    inners = [_inner_ball(cfg, h, cfg.sigma, "sigma") for h in cfg.h_ladder]
     ratios = []
-    for h in cfg.h_ladder:
+    for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)
         rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
-        r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
-        inner = grid.interior & (r < cfg.sigma * R)
         up = fd.ScalarField(grid, np.maximum(u.values, 0.0))
         lhs = float(np.max(up.values[inner]))
         vol = np.count_nonzero(grid.interior) * grid.volume_weight()
@@ -587,16 +602,16 @@ def exp_oscillation(cfg, rep):
     and require a > 0; for nonnegative solutions also record the
     Harnack-form ratio sup / (inf + rhs norm term), whose rhs term takes
     the least rho*_k over the lattice."""
-    dom = cfg.domain
-    grid, coeff, f, u = _solve(cfg, one_spacing("oscillation", cfg))
+    h = one_spacing("oscillation", cfg)
+    inners = [_inner_ball(cfg, h, sigma, "sigma_ladder")
+              for sigma in cfg.sigma_ladder]
+    grid, coeff, f, u = _solve(cfg, h)
     rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
-    r = np.linalg.norm(grid.points() - dom.center, axis=-1)
     oscs = []
     nonneg = bool(np.min(u.values[grid.interior]) >= -1e-12)
-    fterm = (dom.radius ** (2.0 - cfg.n / cfg.q) / rho0
+    fterm = (cfg.domain.radius ** (2.0 - cfg.n / cfg.q) / rho0
              * fd.lq_norm(f, cfg.q))
-    for sigma in cfg.sigma_ladder:
-        inner = grid.interior & (r < sigma * dom.radius)
+    for sigma, inner in zip(cfg.sigma_ladder, inners):
         sup, inf, osc = fd.sup_inf_osc(u, inner)
         oscs.append(osc)
         run = {"sigma": sigma, "sup": sup, "inf": inf, "osc": osc}
@@ -631,16 +646,9 @@ def exp_w22(cfg, rep):
     ||D^2 u||_{L^2(inner)} / ||f/rho*_2||_{L^2} must be h-stable."""
     if cfg.n != 3 or cfg.k != 2:
         raise ValueError("w22 experiment requires n = 3, k = 2")
-    inners = []     # every rung is checked before any solve
-    for h in cfg.h_ladder:
-        grid = fd.build_grid(cfg.domain, h)
-        r = np.linalg.norm(grid.points() - cfg.domain.center, axis=-1)
-        # fixed inner subdomain so the ratio is comparable across h
-        inner = fd.interior_eroded(grid, 2) & (r < 0.7 * cfg.domain.radius)
-        _require(np.any(inner), f"field 'h': spacing {h:g} leaves no node "
-                 f"two layers inside the boundary and within 0.7 R; "
-                 f"choose a finer one")
-        inners.append(inner)
+    # a fixed inner subdomain so the ratio is comparable across h; every
+    # rung is checked before any solve
+    inners = [_inner_ball(cfg, h, 0.7, "h", layers=2) for h in cfg.h_ladder]
     ratios = []
     for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)

@@ -34,12 +34,6 @@ class RadialProfile:
         self.u, self.du, self.d2u = u, du, d2u
         self.breakpoints = tuple(float(b) for b in breakpoints)
 
-    def map(self, fn):
-        """New profile with values fn(r) (no derivatives), keeping
-        breakpoints; use for derived quantities like Lu."""
-        return RadialProfile(fn, du=_no_deriv, d2u=_no_deriv,
-                             breakpoints=self.breakpoints)
-
 
 def _no_deriv(r):
     raise ValueError("derived profile has no derivative accessor")
@@ -47,14 +41,16 @@ def _no_deriv(r):
 
 def radial_apply(n, beta, prof):
     """Profile of Lu for A = I + beta x x^T/|x|^2:
-    Lu(r) = (1 + beta) u'' + (n - 1) u'/r.  Only valid for r > 0."""
+    Lu(r) = (1 + beta) u'' + (n - 1) u'/r.  Only valid for r > 0.  It keeps
+    prof's breakpoints and has no derivatives."""
 
     def lu(r):
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("radial operator undefined at r <= 0")
         return (1.0 + beta) * prof.d2u(r) + (n - 1) * prof.du(r) / r
-    return prof.map(lu)
+    return RadialProfile(lu, du=_no_deriv, d2u=_no_deriv,
+                         breakpoints=prof.breakpoints)
 
 
 def radial_fk(n, k, prof, r):
@@ -132,19 +128,12 @@ def mollified_power_profile(alpha, eps):
         raise NumericError(f"core of the mollified profile out of float "
                            f"range at eps={eps!r}") from None
 
-    def u(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= eps, outer.u(np.maximum(r, eps)),
-                        core_a * r ** 2 + core_c)
-
-    def du(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= eps, outer.du(np.maximum(r, eps)),
-                        2.0 * core_a * r)
-
-    def d2u(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= eps, outer.d2u(np.maximum(r, eps)),
-                        2.0 * core_a)
-
-    return RadialProfile(u, du=du, d2u=d2u, breakpoints=(eps,))
+    def glue(outer_fn, core_fn):
+        def fn(r):
+            r = np.asarray(r, dtype=float)
+            return np.where(r >= eps, outer_fn(np.maximum(r, eps)), core_fn(r))
+        return fn
+    return RadialProfile(glue(outer.u, lambda r: core_a * r ** 2 + core_c),
+                         du=glue(outer.du, lambda r: 2.0 * core_a * r),
+                         d2u=glue(outer.d2u, lambda r: 2.0 * core_a),
+                         breakpoints=(eps,))

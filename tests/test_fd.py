@@ -2,6 +2,7 @@ import contextlib
 import logging
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +91,16 @@ class TestGrid:
                   fd.build_grid(fd.Domain.ball([0.25, 0, 0], 1), 0.25),
                   fd.build_grid(fd.Domain.box([-1] * 3, [1] * 3), 0.25)]
         assert len({id(g), *map(id, others)}) == 5
+
+    @pytest.mark.parametrize("center, radius, h", [
+        ([0.3, -0.2], 0.9, 1 / 10),
+        ([0.3, -0.2, 0.1], 0.7, 1 / 10),
+        ([-0.25, 0.5, 0.125, 1.5], 1.2, 1 / 5),
+    ])
+    def test_radius_map_is_the_node_distance(self, center, radius, h):
+        g = fd.build_grid(fd.Domain.ball(center, radius), h)
+        ref = np.linalg.norm(g.points() - np.asarray(center), axis=-1)
+        assert g.radius_map().tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("name", ["interior", "boundary", "active",
                                       "axes"])
@@ -607,6 +618,34 @@ class TestKeptPattern:
         finally:
             sys.setswitchinterval(interval)
         assert got == [serial[i % 2] for i in range(12)]
+
+    def test_concurrent_first_solves_build_once(self, caplog):
+        # six threads that each fetch a fresh one-block lattice and solve
+        # on it at once: one grid, and one pattern built for all of them
+        domain = fd.Domain.ball([0.1, -0.2, 0.05], 0.85)
+        coeff = fd.identity_coeff()
+        start = threading.Barrier(6)
+
+        def solve(_):
+            start.wait(timeout=60)
+            g = fd.build_grid(domain, 1 / 8)
+            f = fd.field_from_function(g, _wavy)
+            fd.solve_dirichlet(coeff(g), f,
+                               fd.ScalarField(g, np.zeros(g.shape)))
+            return g
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="conelab.fd"), \
+                    ThreadPoolExecutor(max_workers=6) as pool:
+                grids = list(pool.map(solve, range(6)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g is grids[0] for g in grids)
+        assert np.count_nonzero(grids[0].interior) <= fd._BLOCK_ROWS
+        patterns = [re.search(r" pattern=(\w+) ", r.getMessage())[1]
+                    for r in caplog.records if r.name == "conelab.fd"]
+        assert sorted(patterns) == ["built"] + ["kept"] * 5
 
     def test_smaller_blocks_never_served_the_kept_pattern(self, monkeypatch):
         g, f, bc = _policy_problem()

@@ -85,6 +85,30 @@ class TestGreenBall:
                                * np.abs(prof.du(s) / s) ** k)
             assert np.max(res / scale) < 1e-12
 
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_matches_hand_formulas(self, R):
+        # the profile, value and pole depth against the closed forms
+        # written out by hand, kept here as oracles
+        s = R * np.linspace(0.01, 0.9, 90)
+        for n, k in SUPPORTED:
+            spec = GreenBallSpec(n, k, R)
+            c = 1.0 / (comb(n, k) * unit_ball_volume(n)) ** (1.0 / k)
+            p = 2.0 - n / k
+            if 2 * k == n:
+                hand = (c * np.log(s / R), c / s, -c / s ** 2)
+            else:
+                hand = (c / p * (s ** p - R ** p), c * s ** (p - 1),
+                        c * (p - 1) * s ** (p - 2))
+                depth = R ** p / (p * (comb(n, k) * unit_ball_volume(n))
+                                  ** (1.0 / k))
+                assert green.green_depth(n, k, R) == pytest.approx(
+                    depth, rel=1e-14, abs=0)
+            prof = green_ball_profile(spec)
+            got = (prof.u(s), prof.du(s), prof.d2u(s))
+            for g, want in zip(got + (green_ball_radial(spec, s),),
+                               hand + hand[:1]):
+                np.testing.assert_allclose(g, want, rtol=1e-14, atol=0)
+
     def test_outside_rejected(self):
         spec = GreenBallSpec(3, 2, 1.0)
         with pytest.raises(ValueError):

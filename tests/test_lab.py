@@ -306,6 +306,16 @@ class TestSharpness:
         assert np.isclose(got["norm_decay_q=1.5"], 0.5, atol=1e-10)
         assert np.isclose(got["norm_decay_q=2"], 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 3), (5, 4)])
+    def test_sup_is_one_minus_the_core_constant(self, n, k):
+        # sup w_eps = 1 - u_eps(0), read from the profile, is the closed
+        # form bit for bit on the default ladder
+        alpha = 2.0 - n / k
+        for eps in lab.ExperimentConfig.eps_ladder:
+            _, sup_w = lab.sharpness_family(n, k, eps)
+            assert type(sup_w) is float
+            assert sup_w == 1.0 - (1.0 - alpha / 2.0) * eps ** alpha
+
     def test_requires_high_k(self):
         with pytest.raises(ValueError, match="k > n/2"):
             lab.run_one("sharpness", {"name": "s", "n": 4, "k": 2,
@@ -322,6 +332,15 @@ class TestLogFamily:
         assert np.ptp(norms) < 1e-9 * norms[0]
         infs = [r["inf"] for r in rep.runs]
         assert infs[-1] < infs[0]  # diverges downward
+
+    def test_inf_is_the_core_constant(self):
+        # inf u_eps = u_eps(0), read from the profile, is log eps - 1/2 bit
+        # for bit on the default ladder
+        rep = lab.run_one("log_family", {"n": 4, "k": 2, "q": 2.0,
+                                         "mode": "exploratory"})
+        eps = lab.ExperimentConfig.eps_ladder
+        assert [r["eps"] for r in rep.runs] == list(eps)
+        assert [r["inf"] for r in rep.runs] == [np.log(e) - 0.5 for e in eps]
 
     def test_wrong_q_rejected(self):
         with pytest.raises(ValueError, match="n/2"):
@@ -388,6 +407,25 @@ class TestW22:
             lab.run_one("w22", {"n": 3, "k": 2, "q": 2.0,
                                 "h": [0.125, 0.25]})
         assert calls == []
+
+
+class TestInnerBall:
+    # a ball of 0.05 R about the centre holds no node at h = 1/8, whose
+    # nearest nodes lie sqrt(3)/16 R from it
+    @pytest.mark.parametrize("exp, fields", [
+        ("local_max", {"sigma": 0.05, "h": [1 / 24, 1 / 8]}),
+        ("oscillation", {"sigma_ladder": [0.05, 0.5], "h": [1 / 8]}),
+    ], ids=["local_max", "oscillation"])
+    def test_empty_inner_ball_rejected_before_any_solve(self, monkeypatch,
+                                                        exp, fields):
+        calls = count_solves(monkeypatch)
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=f"field '{name}': spacing 0.125 "
+                                             f"leaves no node within 0.05 R"
+                           ) as exc:
+            lab.run_one(exp, {"n": 3, "k": 2, "q": 2.0, **fields})
+        assert calls == []
+        assert lab.error_exit_code(exc.value) == 2
 
 
 def count_solves(monkeypatch, fail_first=False):

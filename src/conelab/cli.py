@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -100,7 +101,10 @@ def cmd_suite(args):
     return code
 
 
+@functools.cache
 def build_parser():
+    """The conelab argument parser, built once per process: parse_args
+    leaves it unchanged, so every command reuses it."""
     p = argparse.ArgumentParser(
         prog="conelab",
         description="Cone-restricted elliptic estimates: membership tests, "

@@ -8,6 +8,11 @@ field), OPERATORS and SOURCES (each type, its params and its builder) and
 EXPERIMENTS (each experiment, the fields it reads and the domains it runs
 on); parse_config and run_one reject whatever they do not declare.
 
+sharpness and log_family integrate the exact Lu of their mollified
+Gilbarg-Serrin family (radial.mollified_apply: a constant in the core, 0
+outside), not the generic radial.radial_apply, whose cancelling sum leaves
+rounding noise where Lu is 0.
+
 A lattice experiment, `conelab solve` and every run_suite job get their
 solution from _solve, which keeps the last SOLVE_CACHE_SIZE solutions of
 the process.  A solution is keyed by what defines its Dirichlet problem
@@ -453,7 +458,8 @@ def exp_max_principle(cfg, rep):
     """Explicit-constant sup bound: solve Lu = -f with zero boundary data
     and check sup u <= abp_constant * ||f/rho*_k||_{L^q(contact mask)}."""
     if 2 * cfg.k <= cfg.n:
-        raise ValueError("explicit-constant mode requires k > n/2")
+        raise ValueError("field 'k': explicit-constant mode requires "
+                         "k > n/2")
     const = green.abp_constant(cfg.n, cfg.k, cfg.domain.diam)
     for h in cfg.h_ladder:
         grid, coeff, f, u = _solve(cfg, h)
@@ -472,11 +478,12 @@ def exp_max_principle(cfg, rep):
 
 def _gs_family(n, alpha, eps):
     """(u_eps, L u_eps): the mollified r^alpha profile (log r at alpha = 0),
-    increasing in r, and L of gs_spectrum(n, alpha): A = I + beta x x^T/|x|^2
-    with 1 + beta its radial eigenvalue."""
+    increasing in r, and its exact Lu (radial.mollified_apply) for L of
+    gs_spectrum(n, alpha): A = I + beta x x^T/|x|^2 with 1 + beta its radial
+    eigenvalue, which makes r^alpha L-harmonic."""
     beta = symcone.gs_spectrum(n, alpha)[-1] - 1.0
     prof = radial.mollified_power_profile(alpha, eps)
-    return prof, radial.radial_apply(n, beta, prof)
+    return prof, radial.mollified_apply(n, beta, prof)
 
 
 def sharpness_family(n, k, eps):
@@ -504,9 +511,13 @@ def exp_sharpness(cfg, rep):
              f"requires k > n/2 and k < n, got k={k} for n={n}")
     _require_rungs(cfg, 3, "as Aitken extrapolation of sup w_eps takes "
                    "three")
+    q_list = cfg.q_list or (cfg.q,)
+    _require(len({f"{q:g}" for q in q_list}) == len(q_list),
+             f"field 'q_list': values must differ when printed with %g, "
+             f"as each names its own plot and verdict; got {list(q_list)}")
     families = [sharpness_family(n, k, eps) for eps in cfg.eps_ladder]
     sups = [sup_w for _, sup_w in families]
-    for q in cfg.q_list or (cfg.q,):
+    for q in q_list:
         norms = []
         for eps, (lu, sup_w) in zip(cfg.eps_ladder, families):
             nm = radial.radial_lq_norm(lu, n, q, (0.0, 1.0))
@@ -538,7 +549,7 @@ def exp_log_family(cfg, rep):
     norm of L u_eps stays flat while inf u_eps = log(eps) - 1/2 diverges."""
     n = cfg.n
     if cfg.q != n / 2:
-        raise ValueError("log family runs at q = n/2")
+        raise ValueError("field 'q': log family runs at q = n/2")
     _require_rungs(cfg, 2, "as inf u_eps / log eps is extrapolated along a "
                    "line")
     target = 2.0 * (n - 1) * radial.unit_ball_volume(n) ** (2.0 / n)
@@ -644,8 +655,9 @@ def exp_oscillation(cfg, rep):
 def exp_w22(cfg, rep):
     """Interior second-derivative control at n = 3, k = 2: the ratio
     ||D^2 u||_{L^2(inner)} / ||f/rho*_2||_{L^2} must be h-stable."""
-    if cfg.n != 3 or cfg.k != 2:
-        raise ValueError("w22 experiment requires n = 3, k = 2")
+    for name, value, want in (("n", cfg.n, 3), ("k", cfg.k, 2)):
+        _require(value == want, f"field '{name}': w22 experiment requires "
+                 "n = 3, k = 2")
     # a fixed inner subdomain so the ratio is comparable across h; every
     # rung is checked before any solve
     inners = [_inner_ball(cfg, h, 0.7, "h", layers=2) for h in cfg.h_ladder]

@@ -2,7 +2,10 @@
 
 A radial profile carries u(r), u'(r), u''(r); the rank-one-anisotropy
 operator A = I + beta x x^T/|x|^2 acts on radial functions as
-Lu(r) = (1 + beta) u''(r) + (n - 1) u'(r)/r.
+Lu(r) = (1 + beta) u''(r) + (n - 1) u'(r)/r.  radial_apply is that generic
+operator.  The mollified families (mollified_power_profile) have their Lu in
+closed form, mollified_apply: a constant in the quadratic core and exactly 0
+outside it, where the generic sum cancels to rounding noise.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ def mollified_power_profile(alpha, eps):
     """C^1 glue of r^alpha (r >= eps) with a quadratic core:
     (alpha/2) eps^{alpha-2} r^2 + (1 - alpha/2) eps^alpha for r < eps.
     For alpha = 0 the outer branch is log r and the core constant is
-    log(eps) - 1/2."""
+    log(eps) - 1/2.  The profile's core_a is a, the coefficient of r^2 in
+    the core."""
     eps = float(eps)
     if eps <= 0:
         raise ValueError("need eps > 0")
@@ -133,7 +137,21 @@ def mollified_power_profile(alpha, eps):
             r = np.asarray(r, dtype=float)
             return np.where(r >= eps, outer_fn(np.maximum(r, eps)), core_fn(r))
         return fn
-    return RadialProfile(glue(outer.u, lambda r: core_a * r ** 2 + core_c),
+    prof = RadialProfile(glue(outer.u, lambda r: core_a * r ** 2 + core_c),
                          du=glue(outer.du, lambda r: 2.0 * core_a * r),
                          d2u=glue(outer.d2u, lambda r: 2.0 * core_a),
                          breakpoints=(eps,))
+    prof.core_a = core_a
+    return prof
+
+
+def mollified_apply(n, beta, prof):
+    """Exact Lu of a mollified_power_profile prof for the beta whose L
+    annihilates its outer branch, 1 + beta = (n - 1)/(1 - alpha): the core
+    a r^2 + c has u'' = u'/r = 2a, so Lu is the constant 2a(n + beta) on
+    r < eps and exactly 0 on r >= eps.  Like radial_apply's, the result
+    keeps the breakpoint eps and has no derivatives."""
+    eps, = prof.breakpoints
+    inside = 2.0 * prof.core_a * (n + beta)
+    return RadialProfile(lambda r: np.where(np.asarray(r) < eps, inside, 0.0),
+                         du=_no_deriv, d2u=_no_deriv, breakpoints=(eps,))

@@ -298,9 +298,10 @@ class TestSuiteCommand:
         assert [(r["name"], r["passed"], r["error"]) for r in d["reports"]] \
             == [("lg", True, None),
                 ("low_k", False,
-                 "ValueError: explicit-constant mode requires k > n/2")]
-        assert captured.err == ("error: explicit-constant mode requires "
-                                "k > n/2\n")
+                 "ValueError: field 'k': explicit-constant mode requires "
+                 "k > n/2")]
+        assert captured.err == ("error: field 'k': explicit-constant mode "
+                                "requires k > n/2\n")
         assert (tmp_path / "suite" / "lg" / "report.json").exists()
 
     def test_sharpness_at_k_equals_n_keeps_the_other_reports(
@@ -560,3 +561,34 @@ class TestLogEnvironment:
                                 str(p), "--out", str(tmp_path / "bad"))
         assert code == 2
         assert "CONELAB_LOG" in err
+
+
+class TestParserReuse:
+    def test_commands_in_one_process_match_fresh_processes(self, capsys,
+                                                          tmp_path):
+        # main reuses one parser per process; each command must print and
+        # exit as it does in a process of its own
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": 4, "k": 2, "q": 2.0,
+                                 "mode": "exploratory",
+                                 "eps_ladder": [0.125, 0.0625]}))
+        commands = [["cone", "rho-star", "--lambda", "1,1,3", "--k", "2"],
+                    ["exp", "log_family", "--config", str(p),
+                     "--out", str(tmp_path / "out")],
+                    ["no-such-command"]]
+        src = str(pathlib.Path(conelab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:       # argparse's usage error
+                code = exc.code
+            out = capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-m", "conelab.cli",
+                                   *argv], env=env, capture_output=True,
+                                  text=True)
+            assert (code, out) == (proc.returncode, proc.stdout), argv
+            assert cli.build_parser() is parser
+        assert code == 2

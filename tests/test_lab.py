@@ -321,6 +321,21 @@ class TestSharpness:
             lab.run_one("sharpness", {"name": "s", "n": 4, "k": 2,
                                       "q": 3.0, "mode": "exploratory"})
 
+    @pytest.mark.parametrize("q_list", [[1.5, 1.5], [1.5, 1.5000001]])
+    def test_q_list_alike_under_g_rejected_before_quadrature(
+            self, monkeypatch, q_list):
+        # both entries would write norm_vs_eps_q1.5.csv and slope_q=1.5
+        norms = []
+        monkeypatch.setattr(lab.radial, "radial_lq_norm",
+                            lambda *args: norms.append(args))
+        with pytest.raises(ValueError, match="field 'q_list': values must "
+                                             "differ") as exc:
+            lab.run_one("sharpness", {"n": 3, "k": 2, "q": 2.0,
+                                      "q_list": q_list,
+                                      "mode": "exploratory"})
+        assert lab.error_exit_code(exc.value) == 2
+        assert norms == []
+
 
 class TestLogFamily:
     def test_flat_norm_and_divergence(self):
@@ -343,7 +358,8 @@ class TestLogFamily:
         assert [r["inf"] for r in rep.runs] == [np.log(e) - 0.5 for e in eps]
 
     def test_wrong_q_rejected(self):
-        with pytest.raises(ValueError, match="n/2"):
+        with pytest.raises(ValueError, match="field 'q': log family runs at "
+                                             "q = n/2"):
             lab.run_one("log_family", {"name": "l", "n": 4, "k": 2,
                                        "q": 3.0, "mode": "exploratory"})
 
@@ -357,7 +373,8 @@ class TestMaxPrinciple:
         assert rep.runs[0]["lhs"] <= 0.0
 
     def test_low_k_rejected(self):
-        with pytest.raises(ValueError, match="k > n/2"):
+        with pytest.raises(ValueError, match="field 'k': explicit-constant "
+                                             "mode requires k > n/2"):
             lab.run_one("max_principle", {"name": "m", "n": 4, "k": 2,
                                           "q": 3.0, "mode": "exploratory",
                                           "h": [0.125]})
@@ -393,6 +410,15 @@ class TestOscillation:
 
 
 class TestW22:
+    @pytest.mark.parametrize("n, k, name", [(4, 2, "n"), (3, 3, "k"),
+                                            (4, 3, "n")])
+    def test_wrong_dimension_or_k_names_the_field(self, n, k, name):
+        with pytest.raises(ValueError, match=f"field '{name}': w22 experiment "
+                                             f"requires n = 3, k = 2") as exc:
+            lab.run_one("w22", {"n": n, "k": k, "q": 2.0, "h": 0.125,
+                                "mode": "exploratory"})
+        assert lab.error_exit_code(exc.value) == 2
+
     @pytest.mark.parametrize("h", [0.25, [0.125, 0.25]],
                              ids=["coarse", "coarse-in-ladder"])
     def test_coarse_spacing_names_h(self, h):
@@ -751,7 +777,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("bad, code, error", [
         (UNSOLVED_JOB, 3, "NumericError: solve residual too large"),
-        (LOW_K_JOB, 2, "ValueError: explicit-constant mode requires k > n/2"),
+        (LOW_K_JOB, 2,
+         "ValueError: field 'k': explicit-constant mode requires k > n/2"),
         *[(job, 2, "ValueError: field 'domain'") for job in BOX_JOBS],
         (NO_ALPHA_JOB, 2, "ValueError: field 'operator.alpha'"),
         (EPS_ONE_JOB, 2, "ValueError: field 'eps_ladder'"),

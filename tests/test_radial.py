@@ -138,18 +138,9 @@ class TestRadialLqNorm:
         a = alpha / 2.0 * eps ** (alpha - 2.0)
         exact = (abs(2 * a * (n + beta))
                  * (unit_ball_volume(n) * eps ** n) ** (1 / q))
-        # outside the core the evaluated Lu is the rounding noise of the
-        # cancelling sum (1 + beta) u'' + (n - 1) u'/r, at most about
-        # 2 macheps c r^(alpha - 2); at q = 1 its integral is up to 4e-6
-        # of the norm (n = 5, eps = 2^-10), at q >= 1.5 its q-th power is
-        # far below 1e-9 of it
-        c = abs((1 + beta) * alpha * (alpha - 1)) + (n - 1) * alpha
-        s = n + alpha - 2
-        noise = (2 * np.finfo(float).eps * c * n * unit_ball_volume(n)
-                 * (1 - eps ** s) / s) if q == 1 else 0.0
         lu, _ = lab.sharpness_family(n, k, eps)
         v = radial_lq_norm(lu, n, q, (0.0, 1.0))
-        assert abs(v - exact) <= 1e-9 * exact + noise
+        assert abs(v - exact) <= 1e-9 * exact
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -10])
@@ -229,6 +220,33 @@ class TestMollifiedProfile:
             / (1 - alpha)
         assert np.allclose(lu.u(inside), target, rtol=1e-12)
         assert np.max(np.abs(lu.u(outside))) < 1e-10
+
+    @pytest.mark.parametrize("eps", [2.0 ** -3, 0.1, 2.0 ** -10])
+    @pytest.mark.parametrize("n, alpha", [
+        *((n, 2.0 - n / k) for n, k in [(3, 2), (4, 3), (5, 4)]),
+        *((n, 0.0) for n in (3, 4, 5, 6))])
+    def test_family_lu_is_exact(self, n, alpha, eps):
+        # the core a r^2 + c has u'' = u'/r = 2a, and r^alpha (log r) is
+        # L-harmonic for 1 + beta = (n - 1)/(1 - alpha)
+        beta = -1.0 + (n - 1) / (1.0 - alpha)
+        a = (0.5 / eps ** 2 if alpha == 0.0
+             else alpha / 2.0 * eps ** (alpha - 2))
+        prof, lu = lab._gs_family(n, alpha, eps)
+        inside = np.append(np.linspace(eps / 97, eps, 13)[:-1],
+                           np.nextafter(eps, 0.0))
+        outside = np.append([eps, np.nextafter(eps, 1.0)],
+                            np.linspace(eps, 1.0, 13)[1:])
+        assert np.all(lu.u(inside) == 2 * a * (n + beta))
+        assert np.all(lu.u(outside) == 0.0)
+        assert lu.breakpoints == (eps,)
+        # the generic operator's cancelling sum agrees up to its rounding,
+        # 2 macheps (|1 + beta| |u''| + (n - 1) |u'|/r)
+        r = np.concatenate([inside, outside])
+        noise = 2 * np.finfo(float).eps * (
+            abs(1 + beta) * np.abs(prof.d2u(r)) + (n - 1) * np.abs(prof.du(r))
+            / r)
+        assert np.all(np.abs(radial_apply(n, beta, prof).u(r) - lu.u(r))
+                      <= noise)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,10 @@ comma-separated literals; configs are JSON files.  Exit code 0 on success
 usage or configuration errors (a ValueError: a malformed spectrum, a
 missing, unreadable or invalid config), 3 on a numerical failure
 (NumericError: a linear solve, optimizer or quadrature that did not
-converge).  The commands raise; main alone maps each error to one
-"error:" line on stderr and its code, and returns the code.  A suite runs
-every job, lists the errors raised, and exits with the highest code.
+converge, or a norm out of float range).  The commands raise; main alone
+maps each error to one "error:" line on stderr and its code, and returns
+the code.  A suite runs every job, lists the errors raised, and exits with
+the highest code.
 
 CONELAB_LOG=<level> (debug, info, warning or error) sends the records of
 the conelab loggers at that level and above to stderr for the duration of

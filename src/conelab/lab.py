@@ -1,17 +1,18 @@
 """Named numerical experiments over the cone, lattice, and radial modules.
 
 Each experiment consumes an ExperimentConfig, runs a ladder of solves or
-quadratures, fits slopes where asymptotics are claimed, and fills the
+closed-form norms, fits slopes where asymptotics are claimed, and fills the
 ExperimentReport that run_one hands it; verdicts are pure functions of the
 stored numbers.  The config vocabulary is declared once: CONFIG_KEYS (each
 field), OPERATORS and SOURCES (each type, its params and its builder) and
 EXPERIMENTS (each experiment, the fields it reads and the domains it runs
 on); parse_config and run_one reject whatever they do not declare.
 
-sharpness and log_family integrate the exact Lu of their mollified
-Gilbarg-Serrin family (radial.mollified_apply: a constant in the core, 0
-outside), not the generic radial.radial_apply, whose cancelling sum leaves
-rounding noise where Lu is 0.
+sharpness and log_family take the L^q norm of the exact Lu of their
+mollified Gilbarg-Serrin family (radial.mollified_apply: a constant in the
+core, 0 outside) in closed form, radial.mollified_lq_norm; no experiment runs
+a quadrature.  The generic radial.radial_apply and radial.radial_lq_norm are
+the tests' oracles.
 
 A lattice experiment, `conelab solve` and every run_suite job get their
 solution from _solve, which keeps the last SOLVE_CACHE_SIZE solutions of
@@ -520,7 +521,7 @@ def exp_sharpness(cfg, rep):
     for q in q_list:
         norms = []
         for eps, (lu, sup_w) in zip(cfg.eps_ladder, families):
-            nm = radial.radial_lq_norm(lu, n, q, (0.0, 1.0))
+            nm = radial.mollified_lq_norm(lu, n, q)
             norms.append(nm)
             rep.runs.append({"q": q, "eps": eps, "norm": nm, "sup": sup_w})
         slope, hw = fit_loglog(cfg.eps_ladder, norms)
@@ -556,7 +557,7 @@ def exp_log_family(cfg, rep):
     norms, infs = [], []
     for eps in cfg.eps_ladder:
         prof, lu = _gs_family(n, 0.0, eps)
-        nm = radial.radial_lq_norm(lu, n, cfg.q, (0.0, 1.0))
+        nm = radial.mollified_lq_norm(lu, n, cfg.q)
         inf_u = float(prof.u(0.0))      # u_eps increases in r
         norms.append(nm)
         infs.append(inf_u)

@@ -5,21 +5,39 @@ operator A = I + beta x x^T/|x|^2 acts on radial functions as
 Lu(r) = (1 + beta) u''(r) + (n - 1) u'(r)/r.  radial_apply is that generic
 operator.  The mollified families (mollified_power_profile) have their Lu in
 closed form, mollified_apply: a constant in the quadratic core and exactly 0
-outside it, where the generic sum cancels to rounding noise.
+outside it, where the generic sum cancels to rounding noise.  So their
+L^q(B_1) norm is closed-form too (mollified_lq_norm), and radial_lq_norm, the
+generic adaptive quadrature, is its independent oracle.
+
+scipy.integrate loads on first access of radial.quad or
+radial.IntegrationWarning (a PEP 562 module __getattr__), so a process that
+takes no quadrature never imports it.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
-from math import comb, gamma, isfinite, pi
+from math import comb, gamma, inf, isfinite, pi
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .symcone import NumericError
 
 # quad's relative tolerance on the whole radial_lq_norm integral (all pieces)
 QUAD_REL_TOL = 1e-9
+# smallest normal float: a closed-form norm below it has lost precision
+_TINY = sys.float_info.min
+
+
+def __getattr__(name):
+    """quad and IntegrationWarning, imported from scipy.integrate on first
+    access and then kept as module attributes (which a caller may patch)."""
+    if name not in ("quad", "IntegrationWarning"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.integrate
+    value = globals()[name] = getattr(scipy.integrate, name)
+    return value
 
 
 def unit_ball_volume(n):
@@ -76,9 +94,14 @@ def radial_lq_norm(prof, n, q, r_range):
     a, b = sorted(map(float, r_range))
     points = [c for c in prof.breakpoints if a < c < b] or None
     surf = n * unit_ball_volume(n)
+    # looked up per call, through __getattr__ on first use
+    module = sys.modules[__name__]
+    quad, IntegrationWarning = module.quad, module.IntegrationWarning
 
     def integrand(r):
-        val = np.abs(prof.u(r)) ** q * surf * r ** (n - 1)
+        # an overflow shows up as the non-finite value checked below
+        with np.errstate(all="ignore"):
+            val = np.abs(prof.u(r)) ** q * surf * r ** (n - 1)
         # quad's behaviour on a nan is undefined (it can crash the process)
         if not isfinite(val):
             raise NumericError(f"integrand over [{a}, {b}] is "
@@ -149,9 +172,31 @@ def mollified_apply(n, beta, prof):
     """Exact Lu of a mollified_power_profile prof for the beta whose L
     annihilates its outer branch, 1 + beta = (n - 1)/(1 - alpha): the core
     a r^2 + c has u'' = u'/r = 2a, so Lu is the constant 2a(n + beta) on
-    r < eps and exactly 0 on r >= eps.  Like radial_apply's, the result
-    keeps the breakpoint eps and has no derivatives."""
+    r < eps and exactly 0 on r >= eps, kept as the result's core_value.
+    Like radial_apply's, the result keeps the breakpoint eps and has no
+    derivatives."""
     eps, = prof.breakpoints
     inside = 2.0 * prof.core_a * (n + beta)
-    return RadialProfile(lambda r: np.where(np.asarray(r) < eps, inside, 0.0),
-                         du=_no_deriv, d2u=_no_deriv, breakpoints=(eps,))
+    lu = RadialProfile(lambda r: np.where(np.asarray(r) < eps, inside, 0.0),
+                       du=_no_deriv, d2u=_no_deriv, breakpoints=(eps,))
+    lu.core_value = inside
+    return lu
+
+
+def mollified_lq_norm(lu, n, q):
+    """L^q(B_1) norm of a mollified_apply profile lu, in closed form: lu is
+    the constant lu.core_value on r < eps and 0 outside, so the norm is
+    |core_value| omega_n^{1/q} eps^{n/q} (eps capped at 1).  eps^{n/q} is
+    applied as two factors eps^{n/2q}, one on each side of the large core
+    constant, so no partial product leaves the float range where the norm
+    does not; NumericError if the norm or eps^{n/2q} is not a normal float."""
+    if q < 1:
+        raise ValueError("need q >= 1")
+    eps, = lu.breakpoints
+    core = abs(float(lu.core_value))
+    half = min(eps, 1.0) ** (n / (2.0 * q))
+    norm = core * unit_ball_volume(n) ** (1.0 / q) * half * half
+    if core and not (half >= _TINY and _TINY <= norm < inf):
+        raise NumericError(f"L^{q:g} norm of the mollified Lu is out of "
+                           f"float range at eps={eps!r}: {norm!r}")
+    return norm

@@ -6,15 +6,19 @@ gauge rho*_k = inf { lam.mu / n : mu in G_k, rho_k(mu) >= 1 }: closed forms
 for k in {1, 2, n}, else damped Newton on the barrier -log S_k.  The cone
 slack and rho*_k are defined once, over a stack of spectra (cone_slack,
 rho_star_rows); in_cone and rho_star are their one-row cases.
+
+scipy.optimize (SLSQP, for dual_margin at 3 <= k < n) loads on first access
+of symcone.minimize (a PEP 562 module __getattr__), so a process that never
+reaches it never imports it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import minimize
 
 MEMBERSHIP_TOL = 1e-9
 BOUNDARY_TOL = 1e-7
@@ -22,8 +26,19 @@ BOUNDARY_TOL = 1e-7
 OPEN, CLOSED, DUAL = "open", "closed", "dual"
 
 
+def __getattr__(name):
+    """minimize, imported from scipy.optimize on first access and then kept
+    as a module attribute (which a caller may patch)."""
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+    globals()[name] = minimize
+    return minimize
+
+
 class NumericError(RuntimeError):
-    """A linear solve, optimizer, iteration or quadrature that failed."""
+    """A linear solve, optimizer, iteration, quadrature or closed form that
+    failed."""
 
 
 class ParamError(ValueError):
@@ -173,6 +188,8 @@ def _dual_margin_optimize(lam, k):
     if scale == 0.0:
         return 0.0
     lam_s = lam / scale
+    # looked up per call, through __getattr__ on first use
+    minimize = sys.modules[__name__].minimize
 
     table = _iterate_table()
     cons = _cone_constraints(k, table)

@@ -268,6 +268,47 @@ class TestExpCommand:
 SHARPNESS_K_EQUALS_N = {"n": 3, "k": 3, "q": 3.0}
 
 
+class TestTinyCore:
+    # eps^n underflows at the first rung; the closed-form norm must not
+    # turn that into a zero norm, a NaN slope or numpy warnings
+    def _run(self, tmp_path, q_list, eps0):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": 4, "k": 3, "q": 3.0, "q_list": q_list,
+                                 "mode": "exploratory",
+                                 "eps_ladder": [eps0, 1e-3, 1e-4]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["exp", "sharpness", "--config", str(p),
+                             "--out", str(tmp_path / "rep")])
+        assert [str(w.message) for w in caught] == []
+        return code
+
+    def test_norm_stays_finite(self, capsys, tmp_path):
+        code = self._run(tmp_path, [3.0], 3.5440394116353534e-197)
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "rep" / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        d = json.loads(text)
+        norms = [run["norm"] for run in d["runs"]]
+        # at q = k the norm does not depend on eps
+        assert norms == pytest.approx([norms[1]] * 3, rel=1e-12)
+        assert d["slopes"][0]["slope"] == pytest.approx(0.0, abs=1e-12)
+        # only the Aitken limit of sup w_eps fails on this ladder
+        assert code == 1
+        assert [v["name"] for v in d["verdicts"] if not v["passed"]] == [
+            "sup_to_one"]
+
+    def test_norm_below_float_range_exits_3(self, capsys, tmp_path):
+        # at q = 1 the first norm is about 2e-532: no float holds it
+        code = self._run(tmp_path, [1.0], 1e-200)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: L^1 norm of the mollified Lu is out "
+                              "of float range at eps=1e-200")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "rep").exists()
+
+
 class TestSuiteCommand:
     def test_suite_runs_and_exits_zero(self, capsys, tmp_path):
         battery = {"experiments": [
@@ -592,3 +633,59 @@ class TestParserReuse:
             assert (code, out) == (proc.returncode, proc.stdout), argv
             assert cli.build_parser() is parser
         assert code == 2
+
+
+# sharpness, log_family and a k = 3 rho*_k take no quadrature and no SLSQP,
+# so a fresh interpreter never loads scipy.integrate or scipy.optimize for
+# them; cone dual at 3 <= k < n still runs SLSQP
+LAZY_SCIPY = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+import conelab.cli as cli
+
+def run(*argv):
+    with redirect_stdout(io.StringIO()) as buf:
+        code = cli.main(list(argv))
+    return code, buf.getvalue()
+
+def loaded():
+    return sorted(m for m in ("scipy.integrate", "scipy.optimize")
+                  if m in sys.modules)
+
+tmp = sys.argv[1]
+codes = []
+for exp, cfg in [("sharpness", {"n": 4, "k": 3, "q": 3.0,
+                                "q_list": [1.5, 3.0],
+                                "mode": "exploratory"}),
+                 ("log_family", {"n": 4, "k": 2, "q": 2.0,
+                                 "mode": "exploratory"})]:
+    path = os.path.join(tmp, exp + ".json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    codes.append(run("exp", exp, "--config", path,
+                     "--out", os.path.join(tmp, exp))[0])
+codes.append(run("cone", "rho-star", "--lambda", "1,1.2,0.9,1.4,1.1",
+                 "--k", "3")[0])
+before = loaded()
+code, out = run("cone", "dual", "--lambda", "1,0.5,2,1.5,1.2", "--k", "3")
+from conelab import radial, symcone
+import scipy.integrate, scipy.optimize
+print(json.dumps({"codes": codes, "before": before, "dual": [code, out],
+                  "quad": radial.quad is scipy.integrate.quad,
+                  "minimize": symcone.minimize is scipy.optimize.minimize}))
+"""
+
+
+def test_scipy_integrate_and_optimize_load_on_first_use(tmp_path):
+    src = str(pathlib.Path(conelab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0]
+    assert got["before"] == []
+    code, out = got["dual"]
+    assert code == 0 and json.loads(out)["member"] is True
+    assert got["quad"] and got["minimize"]

@@ -326,7 +326,7 @@ class TestSharpness:
             self, monkeypatch, q_list):
         # both entries would write norm_vs_eps_q1.5.csv and slope_q=1.5
         norms = []
-        monkeypatch.setattr(lab.radial, "radial_lq_norm",
+        monkeypatch.setattr(lab.radial, "mollified_lq_norm",
                             lambda *args: norms.append(args))
         with pytest.raises(ValueError, match="field 'q_list': values must "
                                              "differ") as exc:

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conelab import lab, radial
-from conelab.radial import (RadialProfile, mollified_power_profile,
-                            power_profile, radial_apply, radial_fk,
-                            radial_lq_norm, unit_ball_volume)
+from conelab.radial import (RadialProfile, mollified_lq_norm,
+                            mollified_power_profile, power_profile,
+                            radial_apply, radial_fk, radial_lq_norm,
+                            unit_ball_volume)
 from conelab.symcone import NumericError
 
 R_GRID = np.linspace(1e-3, 1.0, 997)
@@ -106,11 +109,14 @@ class TestRadialLqNorm:
 
     def test_non_finite_integrand_raises(self):
         # at eps = 3.5e-197 |Lu|^q r^3 overflows to inf * 0 = nan inside
-        # the core, which quad must never see
+        # the core, which quad must never see; and numpy must not warn
         lu, _ = lab.sharpness_family(4, 3, 3.5440394116353534e-197)
-        with pytest.raises(NumericError, match=r"integrand over \[0\.0, "
-                           r"1\.0\] is nan"):
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(NumericError, match=r"integrand over \[0\.0, "
+                              r"1\.0\] is nan"):
+            warnings.simplefilter("always")
             radial_lq_norm(lu, 4, 3.0, (0.0, 1.0))
+        assert [str(w.message) for w in caught] == []
 
     def test_integrable_singularity(self):
         # int_0^1 r^-2.8 * 4 pi r^2 dr = 20 pi: the adaptive rule must
@@ -167,6 +173,44 @@ class TestRadialLqNorm:
         lu, _ = lab.sharpness_family(3, 2, 2.0 ** -10)
         radial_lq_norm(lu, 3, 2.0, (0.0, 1.0))
         assert 0 < len(evals) <= 200
+
+
+# every sharpness family (n/2 < k < n) for n = 3..6
+SHARPNESS_NK = [(n, k) for n in range(3, 7) for k in range(n // 2 + 1, n)]
+
+
+class TestMollifiedLqNorm:
+    @pytest.mark.parametrize("eps", [2.0 ** -3, 0.1, 2.0 ** -10])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("n,k", SHARPNESS_NK)
+    def test_sharpness_matches_quadrature(self, n, k, q, eps):
+        lu, _ = lab.sharpness_family(n, k, eps)
+        exact = radial_lq_norm(lu, n, q, (0.0, 1.0))
+        assert abs(mollified_lq_norm(lu, n, q) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("eps", [2.0 ** -3, 0.1, 2.0 ** -10])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_log_family_matches_quadrature(self, n, eps):
+        _, lu = lab._gs_family(n, 0.0, eps)
+        exact = radial_lq_norm(lu, n, n / 2, (0.0, 1.0))
+        assert abs(mollified_lq_norm(lu, n, n / 2) - exact) <= 1e-12 * exact
+
+    def test_core_beyond_the_unit_ball(self):
+        # B_1 lies inside the core: the norm is |Lu| omega_n^{1/q}
+        _, lu = lab._gs_family(3, 0.0, 2.0)
+        assert mollified_lq_norm(lu, 3, 1.5) == pytest.approx(
+            radial_lq_norm(lu, 3, 1.5, (0.0, 1.0)), rel=1e-12)
+
+    def test_norm_below_float_range_raises(self):
+        # |Lu| ~ eps^{-5/4} and eps^5: the norm is about 1e-375
+        lu, _ = lab.sharpness_family(5, 4, 1e-100)
+        with pytest.raises(NumericError, match="out of float range"):
+            mollified_lq_norm(lu, 5, 1.0)
+
+    def test_q_below_one(self):
+        lu, _ = lab.sharpness_family(3, 2, 0.125)
+        with pytest.raises(ValueError):
+            mollified_lq_norm(lu, 3, 0.5)
 
 
 class TestPowerProfiles:

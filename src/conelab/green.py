@@ -38,11 +38,13 @@ def contact_mask(u, k):
     a genuine inequality.  Closed-cone boundary nodes (slack within
     tolerance of zero) are included, as are interior nodes where the
     discrete Hessian is unavailable (outermost layer): excluding
-    undecidable nodes could drop true contact points.
+    undecidable nodes could drop true contact points.  The slack is
+    symcone.matrix_cone_slack of -D^2 u, from the power sums tr(-D^2 u)^i,
+    i <= k, with no eigendecomposition per node.
     """
     grid = u.grid
     H, valid = hessian_field(u)
-    slack = symcone.cone_slack(np.linalg.eigvalsh(-H[valid]), k)
+    slack = symcone.matrix_cone_slack(-H[valid], k)
     mask = grid.interior & ~valid
     mask[valid] = slack >= -symcone.MEMBERSHIP_TOL
     return ContactMask(mask)

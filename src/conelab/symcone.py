@@ -3,9 +3,11 @@
 Implements the Garding cones G_k (S_1,...,S_k > 0), their closures and dual
 cones, the degree-1 normalizations rho_k = (S_k/C(n,k))^{1/k}, and the dual
 gauge rho*_k = inf { lam.mu / n : mu in G_k, rho_k(mu) >= 1 }: closed forms
-for k in {1, 2, n}, else damped Newton on the barrier -log S_k.  The cone
-slack and rho*_k are defined once, over a stack of spectra (cone_slack,
-rho_star_rows); in_cone and rho_star are their one-row cases.
+for k in {1, 2, n}, else damped Newton on the barrier -log S_k, one
+elem_sym_table call per step.  The cone slack and rho*_k are defined once,
+over a stack of spectra (cone_slack, rho_star_rows); in_cone and rho_star
+are their one-row cases, and matrix_cone_slack is cone_slack of the spectra
+of a stack of symmetric matrices, from their power sums.
 
 scipy.optimize (SLSQP, for dual_margin at 3 <= k < n) loads on first access
 of symcone.minimize (a PEP 562 module __getattr__), so a process that never
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from math import comb
 
 import numpy as np
@@ -65,12 +68,16 @@ def _check_spectrum(lam, ndim=1):
     if lam.ndim != ndim or lam.shape[-1] < 2:
         shape = "a 1-d array" if ndim == 1 else "an (m, n) array"
         raise ValueError(f"spectrum must be {shape} with n >= 2")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValueError("spectrum entries must be finite")
     return lam
 
 
 def _check_k(k, n):
+    """k as an int in 1..n; a bool or a non-integer k raises rather than
+    being truncated to a neighbouring cone."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"cone index k must be an integer, got {k!r}")
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} out of range 1..{n}")
@@ -88,8 +95,7 @@ def elem_sym_table(values):
     e = np.zeros(v.shape[:-1] + (n + 1,))
     e[..., 0] = 1.0
     for i in range(n):
-        x = v[..., i]
-        e[..., 1:i + 2] = e[..., 1:i + 2] + x[..., None] * e[..., 0:i + 1]
+        e[..., 1:i + 2] += v[..., i, None] * e[..., :i + 1]
     return e
 
 
@@ -127,14 +133,42 @@ def rho_k(lam, k):
     return (sk / comb(lam.size, k)) ** (1.0 / k)
 
 
+def _normalized_slack(s, n):
+    """min_j S_j/C(n,j) over s = (S_1, ..., S_k), each S_j an array of the
+    same shape, for spectra of n entries."""
+    return reduce(np.minimum, (sj / comb(n, j) for j, sj in enumerate(s, 1)))
+
+
 def cone_slack(lam, k):
     """Smallest normalized slack min_j S_j/C(n,j), j = 1..k, of each
     spectrum along the last axis of lam: >= 0 exactly on the closed cone."""
-    n = lam.shape[-1]
     e = elem_sym_table(lam)
-    return np.min(e[..., 1:k + 1] / np.array([comb(n, j)
-                                              for j in range(1, k + 1)]),
-                  axis=-1)
+    return _normalized_slack(np.moveaxis(e[..., 1:k + 1], -1, 0),
+                             lam.shape[-1])
+
+
+def matrix_cone_slack(M, k):
+    """cone_slack of the spectrum of each symmetric matrix of a stack M
+    (..., n, n), without an eigendecomposition.
+
+    S_1..S_k of the spectrum come from the power sums p_i = tr M^i, i <= k,
+    by Newton's identities j S_j = sum_i (-1)^(i-1) S_{j-i} p_i.  Each p_i
+    is the entrywise sum of M^a * M^b with a + b = i and a, b <= ceil(k/2),
+    so k = 3 takes one batched matmul.  Rounding moves S_j by a small
+    multiple of eps |M|^j, as the eigenvalue route does.
+    """
+    M = np.asarray(M, dtype=float)
+    powers = [None, M]                  # M^1 .. M^ceil(k/2)
+    while len(powers) <= (k + 1) // 2:
+        powers.append(powers[-1] @ M)
+    p = [None, np.einsum("...ii->...", M)]
+    p += [np.einsum("...ij,...ij->...", powers[i - i // 2], powers[i // 2])
+          for i in range(2, k + 1)]
+    e = [1.0]                           # S_0 .. S_k
+    for j in range(1, k + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i]
+                     for i in range(1, j + 1)) / j)
+    return _normalized_slack(e[1:], M.shape[-1])
 
 
 def in_cone(lam, k, closed=False):
@@ -249,11 +283,15 @@ def _closed_margins(lam, k):
 
 
 def dual_margin(lam, k):
-    """inf { lam.mu : mu in closure(G_k), |mu| = 1 }.
+    """inf { lam.mu : mu in closure(G_k), |mu| = 1 }, exactly for k in
+    {1, 2, n}; an upper bound on it for 3 <= k < n.
 
     Nonnegative exactly when lam lies in the dual cone G*_k.  Closed forms
     for k = 1 (half-space), k = 2 (the cone is circular: S_2 >= 0 iff
-    S_1 >= |mu|), and k = n (positive orthant); optimization otherwise.
+    S_1 >= |mu|), and k = n (positive orthant).  Otherwise SLSQP's value,
+    a local minimum that can lie above the infimum: at lam = (-0.145,
+    -0.042, 0.16, 0.681), k = 3, it returns -0.14500, while a unit mu in
+    the open G_3 reaches -0.19396.
     """
     lam = _check_spectrum(lam)
     n = lam.size
@@ -282,51 +320,87 @@ def rho_star_closed_form_2(lam):
     return float(np.sqrt(val / n))
 
 
+@lru_cache(maxsize=None)
+def _drop_mask(n):
+    """(n*n, n) read-only mask of the entries _drop_rows keeps: row (i, j)
+    drops entries i and j."""
+    i = np.arange(n)
+    keep = np.ones((n, n, n), dtype=bool)
+    keep[i, :, i] = keep[:, i, i] = False
+    keep.flags.writeable = False
+    return keep.reshape(n * n, n)
+
+
+def _drop_rows(mu):
+    """mu with entries i and j set to 0, for each (i, j) (entry i alone
+    when i = j), as n*n rows.  Row (i, j) of their elem_sym_table holds
+    S_{k-1}(mu without mu_i) = dS_k/dmu_i at i = j and
+    S_{k-2}(mu without mu_i, mu_j) = d2S_k/dmu_i dmu_j at i != j.  Zeros
+    are exact in the table, so each comes from the remaining entries
+    alone; deflating mu_i out of S_j(mu) instead, by S_j(mu without mu_i)
+    = S_j(mu) - mu_i S_{j-1}(mu without mu_i), can cancel every digit when
+    mu_i dominates."""
+    return np.where(_drop_mask(mu.size), mu, 0.0)
+
+
 def _barrier_newton(a, k):
-    """Maximizer of log S_k over G_k on the slice a.mu = n, or None.
+    """Maximizer mu of log S_k over G_k on the slice a.mu = n, with S_k(mu),
+    or None.
 
     Damped Newton with KKT steps (Boyd-Vandenberghe, Convex Optimization,
     sec. 10.2) on -log S_k, a self-concordant barrier of G_k (Guler, Math.
     Oper. Res. 22, 1997).  None if sum(a) <= 0, if the KKT matrix is
     singular, if a step is in the closed cone (lam is then not interior to
     G*_k), at the step cap, or at a rounding floor above dec2 = 1e-12.
+
+    A step makes one elem_sym_table call, on a stack of the step itself
+    (the recession test), its ten backtracking points and the full step's
+    _drop_rows, which give the next iterate's derivatives when the full
+    step is taken.  A shorter accepted step makes a second call, for its
+    own _drop_rows.
     """
     n = a.size
     if a.sum() <= 0.0:
         return None
     mu = np.full(n, n / a.sum())
-    sk = elem_sym_table(mu)[k]
+    tab = elem_sym_table(np.concatenate([mu[None], _drop_rows(mu)]))
+    e, drop = tab[0], tab[1:]
     i = np.arange(n)
     kkt = np.zeros((n + 1, n + 1))
     kkt[:n, n] = kkt[n, :n] = a
+    rhs = np.zeros(n + 1)
+    # t = 1/(1 + sqrt(dec2)) passes (sec. 9.6.4) and dec2 <= k, so failing
+    # ten halvings is the rounding floor
+    t = 0.5 ** np.arange(10)
     for _ in range(100):
-        # mu without entries i and j: its S_{k-1} (i = j) is dS_k/dmu_i, its
-        # S_{k-2} (i != j) is d2S_k/dmu_i dmu_j
-        drop = np.broadcast_to(mu, (n, n, n)).copy()
-        drop[i, :, i] = drop[:, i, i] = 0.0
-        tab = elem_sym_table(drop)
-        g = tab[i, i, k - 1] / sk           # -gradient of -log S_k
-        kkt[:n, :n] = np.outer(g, g) - tab[..., k - 2] / sk
+        drop = drop.reshape(n, n, n + 1)
+        g = drop[i, i, k - 1] / e[k]        # -gradient of -log S_k
+        kkt[:n, :n] = np.outer(g, g) - drop[..., k - 2] / e[k]
         kkt[i, i] = g ** 2
+        rhs[:n] = g
         try:
-            step = np.linalg.solve(kkt, np.append(g, 0.0))[:n]
+            step = np.linalg.solve(kkt, rhs)[:n]
         except np.linalg.LinAlgError:
             return None
         dec2 = float(g @ step)              # squared Newton decrement
         if dec2 <= 1e-20:
-            return mu
-        if np.all(elem_sym_table(step)[1:k + 1] >= 0.0):
+            return mu, e[k]
+        trial = mu + t[:, None] * step
+        tab = elem_sym_table(
+            np.concatenate([step[None], trial, _drop_rows(trial[0])]))
+        if (tab[0, 1:k + 1] >= 0.0).all():
             return None                     # a recession direction
-        # t = 1/(1 + sqrt(dec2)) passes (sec. 9.6.4) and dec2 <= k, so
-        # failing ten halvings is the rounding floor
-        for t in 0.5 ** np.arange(10):
-            e = elem_sym_table(mu + t * step)
-            if (np.all(e[1:k + 1] > 0.0)
-                    and np.log(sk / e[k]) <= -0.25 * t * dec2):
-                break
-        else:
-            return mu if dec2 <= 1e-12 else None
-        mu, sk = mu + t * step, e[k]
+        e_trial = tab[1:t.size + 1]
+        inside = (e_trial[:, 1:k + 1] > 0.0).all(axis=1)
+        ratio = np.divide(e[k], e_trial[:, k], out=np.full(t.size, np.inf),
+                          where=inside)
+        passed = np.log(ratio) <= -0.25 * t * dec2
+        if not passed.any():
+            return (mu, e[k]) if dec2 <= 1e-12 else None
+        j = int(np.argmax(passed))
+        mu, e = trial[j], e_trial[j]
+        drop = (tab[t.size + 1:] if j == 0
+                else elem_sym_table(_drop_rows(mu)))
     return None
 
 
@@ -347,9 +421,11 @@ def rho_star_program(lam, k):
     if scale == 0.0:
         return 0.0
     a = lam / scale
-    mu = _barrier_newton(a, k)
-    if mu is not None:
-        return scale * float(a @ mu / n) / rho_k(mu, k)
+    found = _barrier_newton(a, k)
+    if found is not None:
+        mu, sk = found
+        rho = (float(sk) / comb(n, k)) ** (1.0 / k)     # rho_k(mu)
+        return scale * float(a @ mu / n) / rho
     margin = dual_margin(lam, k)
     if margin < -MEMBERSHIP_TOL * scale:
         raise ValueError(f"spectrum not in dual cone G*_{k} "

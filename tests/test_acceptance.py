@@ -49,13 +49,16 @@ def rho_k_batch(lams, k):
 
 def test_criterion_01_dual_formula_agreement():
     rng = np.random.default_rng(101)
-    # closed form vs the general slice program, k = 2
+    # closed forms vs the general slice program: k = 2, and k = n (the
+    # geometric mean); the program meets both to rounding
     for n in (3, 4, 5, 6):
         lams = sample_dual2(rng, n, 1000)
         for lam in lams:
             cf = symcone.rho_star_closed_form_2(lam)
             pr = symcone.rho_star_program(lam, 2)
-            assert abs(pr - cf) <= 1e-6 * cf
+            assert abs(pr - cf) <= 1e-12 * cf
+            gm = float(np.prod(lam)) ** (1.0 / n)
+            assert abs(symcone.rho_star_program(lam, n) - gm) <= 1e-12 * gm
     # sampling oracle vs rho_star at 1e5 samples
     for n in (3, 4, 5):
         for k in (2, 3):

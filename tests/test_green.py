@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 from math import comb
 
 import numpy as np
@@ -51,6 +52,37 @@ class TestContactMask:
         u = fd.field_from_function(g, lambda x: 1 - np.sum(x ** 2, -1))
         m = contact_mask(u, 2)
         assert not np.any(m.mask & ~g.interior)
+
+
+class TestContactMaskOracle:
+    # the power-sum slack of contact_mask against the eigenvalue route,
+    # which this test keeps as its oracle, on gilbarg_serrin solutions whose
+    # sign-changing source leaves nodes on both sides of the cone
+    @pytest.mark.parametrize("n,h,alpha", [(3, 1 / 12, -0.5), (3, 1 / 12, 0.4),
+                                           (4, 1 / 8, -0.3), (4, 1 / 8, 0.25),
+                                           (5, 1 / 5, -0.3), (5, 1 / 5, 0.25)])
+    def test_same_mask_as_eigenvalues(self, n, h, alpha):
+        grid = ball_grid(n, h)
+        coeff = fd.coeff_gilbarg_serrin(n, alpha)(grid)
+        f = fd.field_from_function(
+            grid, lambda x: 8.0 * np.exp(-np.sum(x ** 2, -1) / 0.05) - 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fd.MonotonicityWarning)
+            u = fd.solve_dirichlet(coeff, f,
+                                   fd.ScalarField(grid, np.zeros(grid.shape)))
+        H, valid = fd.hessian_field(u)
+        M = -H[valid]
+        norm = np.linalg.norm(M, axis=(1, 2))
+        eps = np.finfo(float).eps
+        for k in range(1, n + 1):
+            want_slack = symcone.cone_slack(np.linalg.eigvalsh(M), k)
+            got_slack = symcone.matrix_cone_slack(M, k)
+            bound = 16 * eps * np.max([norm ** j for j in range(1, k + 1)],
+                                      axis=0)
+            assert np.all(np.abs(got_slack - want_slack) <= bound)
+            want = grid.interior & ~valid
+            want[valid] = want_slack >= -symcone.MEMBERSHIP_TOL
+            assert np.array_equal(contact_mask(u, k).mask, want)
 
 
 class TestGreenBall:

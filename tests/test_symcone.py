@@ -1,5 +1,6 @@
 """Cone-calculus unit and property tests."""
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -61,6 +62,39 @@ class TestElemSym:
         assert np.array_equal(table(mu), sc.elem_sym_table(mu))
 
 
+# every public entry point that takes a cone index k
+K_ENTRY_POINTS = {
+    "elem_sym": lambda k: sc.elem_sym([1, 2, 3], k),
+    "rho_k": lambda k: sc.rho_k([1, 2, 3], k),
+    "in_cone": lambda k: sc.in_cone([1, 2, 3], k),
+    "dual_margin": lambda k: sc.dual_margin([1, 2, 3], k),
+    "in_dual_cone": lambda k: sc.in_dual_cone([1, 2, 3], k),
+    "rho_star_program": lambda k: sc.rho_star_program([1, 2, 3], k),
+    "rho_star_rows": lambda k: sc.rho_star_rows([[1, 2, 3]], k),
+    "rho_star": lambda k: sc.rho_star([1, 2, 3], k),
+    "rho_star_oracle": lambda k: sc.rho_star_oracle([1, 2, 3], k, 100),
+    "mui_necessary": lambda k: sc.mui_necessary([1, 2, 3], k),
+}
+
+
+class TestConeIndex:
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    @pytest.mark.parametrize("k", [2.5, 2.9, 2.0, np.float64(2.0), True,
+                                   np.True_, "2", None],
+                             ids=repr)
+    def test_non_integer_k_rejected(self, entry, k):
+        # a truncated k would answer for a neighbouring cone
+        with pytest.raises(ValueError, match=re.escape(repr(k))):
+            K_ENTRY_POINTS[entry](k)
+
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=repr)
+    def test_numpy_integer_k_accepted(self, entry, k):
+        assert repr(K_ENTRY_POINTS[entry](k)) == repr(
+            K_ENTRY_POINTS[entry](2))
+
+
 class TestRhoK:
     def test_all_ones(self):
         for k in (1, 2, 3):
@@ -109,6 +143,58 @@ class TestInCone:
         assert not sc.in_cone(lam, 3, closed=False).member
 
 
+class TestMatrixConeSlack:
+    # the eigenvalue route is the oracle; both round S_j by a small
+    # multiple of eps |M|^j (measured: at most 2.2 eps |M|_F^j here)
+    TOL = 16 * np.finfo(float).eps
+
+    def check(self, M, k):
+        want = sc.cone_slack(np.linalg.eigvalsh(M), k)
+        got = sc.matrix_cone_slack(M, k)
+        norm = np.linalg.norm(M, axis=(-2, -1))
+        bound = self.TOL * np.max([norm ** j for j in range(1, k + 1)],
+                                  axis=0)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(got >= -sc.MEMBERSHIP_TOL,
+                              want >= -sc.MEMBERSHIP_TOL)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_stacks(self, n):
+        rng = np.random.default_rng(40 + n)
+        for scale in (1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+            a = scale * rng.standard_normal((400, n, n))
+            M = (a + np.swapaxes(a, 1, 2)) / 2
+            for k in range(1, n + 1):
+                self.check(M, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_closed_cone_boundary(self, n):
+        # the spectrum (0, 1, ..., 1), on the boundary of G_n, rotated: both
+        # routes keep it in the closed cone
+        rng = np.random.default_rng(50 + n)
+        lam = np.ones(n)
+        lam[0] = 0.0
+        q = np.stack([random_orthogonal(n, rng) for _ in range(200)])
+        M = q @ (lam[:, None] * np.swapaxes(q, 1, 2))
+        M = (M + np.swapaxes(M, 1, 2)) / 2
+        for k in range(1, n + 1):
+            self.check(M, k)
+            assert np.all(sc.matrix_cone_slack(M, k) >= -sc.MEMBERSHIP_TOL)
+
+    def test_one_matrix(self):
+        M = np.diag([3.0, 1.0, -0.5])
+        assert sc.matrix_cone_slack(M, 2) == pytest.approx(
+            sc.cone_slack(np.array([3.0, 1.0, -0.5]), 2), rel=1e-14)
+        assert sc.matrix_cone_slack(M, 3) < 0.0
+
+
+# ROADMAP item 2: dual_margin(ITEM2_LAM, 3) returns lam.min = -0.14500, but
+# ITEM2_MU, renormalized, is a unit point of the open G_3 with
+# lam.mu = -0.19396
+ITEM2_LAM = np.array([-0.145, -0.042, 0.16, 0.681])
+ITEM2_MU = np.array([0.834199, 0.479124, 0.238126, -0.133594]) + 1e-9
+
+
 class TestDualCone:
     def test_k1_is_diagonal_ray(self):
         assert sc.in_dual_cone([1, 1, 1], 1).member
@@ -140,6 +226,19 @@ class TestDualCone:
                 cf = sc.dual_margin(lam, 2)
                 op = sc._dual_margin_optimize(lam, 2)
                 assert cf == pytest.approx(op, abs=1e-7)
+
+    def test_item2_point_in_open_cone(self):
+        # the witness of the xfail below: a unit mu in the open G_3
+        mu = ITEM2_MU / np.linalg.norm(ITEM2_MU)
+        assert sc.in_cone(mu, 3).member
+        assert ITEM2_LAM @ mu == pytest.approx(-0.19396, abs=1e-5)
+
+    @pytest.mark.xfail(strict=True, reason="for 3 <= k < n dual_margin is "
+                       "SLSQP's local value, an upper bound on the infimum "
+                       "(ROADMAP item 2)")
+    def test_margin_below_item2_point(self):
+        mu = ITEM2_MU / np.linalg.norm(ITEM2_MU)
+        assert sc.dual_margin(ITEM2_LAM, 3) <= ITEM2_LAM @ mu
 
     def test_margin_permutation_invariant(self):
         lam = np.array([0.9, 1.1, 0.2, 1.8])
@@ -220,6 +319,18 @@ EXTERIOR_K4 = [0.61114324, 0.01124944, -0.15209698, 0.83245446, 0.7382765,
                0.96295027]
 
 
+# lam drawn as 10**U(-4, 4); want is the barrier Newton's value
+ANISOTROPIC = [
+    ([1089.4552264846611, 0.0003263739581634493, 27.13015432476894,
+      913.4988787382215, 0.0065848850992446155], 4, 0.5395093357379667),
+    ([1391.1099859491485, 941.8351768829631, 0.0002254848382363644,
+      4499.764491755294], 3, 3.730402725398859),
+    ([4523.383038073405, 0.0001217563507717174, 0.011676995119091177,
+      1748.440680990372, 2.3037968739517303, 2354.4562725167866], 5,
+     2.0020999185298294),
+]
+
+
 class TestRhoStarProgram:
     @pytest.mark.parametrize("n,k", [(4, 3), (5, 3), (5, 4), (6, 4)])
     @pytest.mark.parametrize("alpha", [-0.5, -0.2, 0.0, 0.1, 0.3])
@@ -257,6 +368,35 @@ class TestRhoStarProgram:
             gs_rho_star_exact(5, 3, 0.1), rel=1e-12)
         assert sc.rho_star(np.ones(6), 4) == pytest.approx(1.0, rel=1e-12)
         assert sc.rho_star([1.0, 1.2, 0.9, 1.4, 1.1], 3) > 0.0
+
+    def test_one_table_call_per_step(self, monkeypatch):
+        # the start and its _drop_rows, then per step one stack: the step,
+        # its ten backtracking points and the full step's _drop_rows (here
+        # every step is a full step)
+        shapes = []
+        table = sc.elem_sym_table
+
+        def counted(values):
+            shapes.append(np.shape(values))
+            return table(values)
+        a = np.array([1.0, 1.2, 0.9, 1.4, 1.1])
+        a /= np.linalg.norm(a)
+        want_mu, want_sk = sc._barrier_newton(a, 3)
+        monkeypatch.setattr(sc, "elem_sym_table", counted)
+        mu, sk = sc._barrier_newton(a, 3)
+        assert shapes[0] == (26, 5) and len(shapes) >= 2
+        assert all(s == (36, 5) for s in shapes[1:])
+        assert np.array_equal(mu, want_mu) and sk == want_sk
+        assert sk == table(mu)[3]
+
+    @pytest.mark.parametrize("lam,k,want", ANISOTROPIC)
+    def test_anisotropic_spectra(self, lam, k, want):
+        # entries spread over eight decades: derivatives by deflating one
+        # entry from S_j(mu) lose every digit here (0.0 or NumericError);
+        # the drop tables keep the value, which the sampling oracle bounds
+        got = sc.rho_star(lam, k)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert got <= sc.rho_star_oracle(lam, k, 20_000, seed=1)
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError, match="k >= 2"):

@@ -6,7 +6,8 @@ comma-separated literals; configs are JSON files.  Exit code 0 on success
 usage or configuration errors (a ValueError: a malformed spectrum, a
 missing, unreadable or invalid config), 3 on a numerical failure
 (NumericError: a linear solve, optimizer or quadrature that did not
-converge, or a norm out of float range).  The commands raise; main alone
+converge, a norm out of float range, or a max_principle bound whose lhs,
+rhs, norm or margin is not finite).  The commands raise; main alone
 maps each error to one "error:" line on stderr and its code, and returns
 the code.  A suite runs every job, lists the errors raised, and exits with
 the highest code.
@@ -22,7 +23,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import logging
 import os
 import sys
@@ -41,8 +41,7 @@ def parse_spectrum(text):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(serialize.json_text(obj))
 
 
 def cmd_cone(args):
@@ -85,8 +84,7 @@ def cmd_exp(args):
     if isinstance(cfg, dict):     # parse_config rejects anything else
         cfg.setdefault("name", args.name)
     rep = lab.run_one(args.name, cfg)
-    lab.write_report(rep, args.out)
-    _emit(serialize.report_to_dict(rep))
+    sys.stdout.write(lab.write_report(rep, args.out))
     return 0 if rep.passed else 1
 
 

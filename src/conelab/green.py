@@ -177,8 +177,15 @@ def theorem_rhs(f, coeff, k, q, mask, constant):
 
 
 def bound_report_for(u, f, coeff, k, q, constant):
-    """Full pipeline: sup u vs constant * contact-surrogate norm."""
+    """Full pipeline: sup u vs constant * contact-surrogate norm.
+    NumericError names the first of lhs, rhs, norm and margin that is not
+    finite, so that no verdict is taken on it."""
     rep = theorem_rhs(f, coeff, k, q, contact_mask(u, k).mask, constant)
     sup, _, _ = sup_inf_osc(u)
     rep.lhs = float(sup)
+    for name in ("lhs", "rhs", "norm", "margin"):
+        value = getattr(rep, name)
+        if not np.isfinite(value):
+            raise symcone.NumericError(
+                f"bound report: {name} = {value} is not finite")
     return rep

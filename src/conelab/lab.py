@@ -722,10 +722,13 @@ def worker_count():
 
 
 def write_report(rep, out_dir):
+    """Write report.json and the plot CSVs of rep to out_dir; returns the
+    text of report.json."""
     os.makedirs(out_dir, exist_ok=True)
-    serialize.report_to_json(rep, os.path.join(out_dir, "report.json"))
+    text = serialize.report_to_json(rep, os.path.join(out_dir, "report.json"))
     for fname, (comment, cols) in rep.plots.items():
         serialize.write_plot_csv(os.path.join(out_dir, fname), comment, cols)
+    return text
 
 
 def run_one(name, cfg_dict):

@@ -3,6 +3,12 @@
 Binary field dump layout: magic b"CNLB1", little-endian uint32 rank,
 little-endian uint32 shape per axis, then the lattice values as
 little-endian float64 in row-major order.
+
+Every CSV row, of a node table or of a plot, goes through one formatter,
+_write_rows: values printed with "%.17g", comma-separated, with the bytes
+np.savetxt gives for the same table (the tests keep it as the oracle).
+Every JSON text, of a report file or of a command's stdout, is json_text
+of the value: two-space indent, sorted keys and a final newline.
 """
 
 from __future__ import annotations
@@ -15,31 +21,39 @@ import struct
 import numpy as np
 
 MAGIC = b"CNLB1"
-_CSV_ROWS = 8192    # rows of a node CSV formatted per write
+_CSV_ROWS = 8192    # rows of a CSV formatted per write
+
+
+def _write_rows(fh, fmts, nrows, cells):
+    """Write nrows CSV rows to fh, column j formatted by the % conversion
+    fmts[j]; cells(rows) gives each column's values at the slice rows.
+
+    Every _CSV_ROWS rows are one % on a repeated row format, so memory
+    holds one chunk of text."""
+    row = ",".join(fmts) + "\n"
+    for r0 in range(0, nrows, _CSV_ROWS):
+        cols = cells(slice(r0, r0 + _CSV_ROWS))
+        chunk = tuple(itertools.chain.from_iterable(zip(*cols)))
+        fh.write((row * (len(chunk) // len(cols))) % chunk)
 
 
 def _node_csv(path, grid, mask, columns):
     """One row per node of mask in row-major order: its coordinates
-    x1,...,xn, then each named lattice array of columns at that node.
-
-    The bytes are those of np.savetxt with fmt "%.17g" and the header line
-    (the tests keep it as the oracle), written faster: each coordinate
-    value is formatted once per axis, and every _CSV_ROWS rows are one %
-    on a repeated row format, so memory holds one chunk of text."""
+    x1,...,xn, then each named lattice array of columns at that node,
+    under a header line of the names.  Each coordinate value is formatted
+    once per axis."""
     idx = np.nonzero(mask)
     names = [f"x{d + 1}" for d in range(grid.dim)] + list(columns)
     labels = [np.array(["%.17g" % v for v in ax], dtype=object)
               for ax in grid.axes]
     values = [np.asarray(arr, dtype=float)[mask] for arr in columns.values()]
-    row = ",".join(["%s"] * grid.dim + ["%.17g"] * len(values)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for r0 in range(0, idx[0].size, _CSV_ROWS):
-            rows = slice(r0, r0 + _CSV_ROWS)
-            cells = ([label[i[rows]] for label, i in zip(labels, idx)]
-                     + [v[rows].tolist() for v in values])
-            chunk = tuple(itertools.chain.from_iterable(zip(*cells)))
-            fh.write((row * (len(chunk) // len(cells))) % chunk)
+        _write_rows(fh, ["%s"] * grid.dim + ["%.17g"] * len(values),
+                    idx[0].size,
+                    lambda rows: ([label[i[rows]]
+                                   for label, i in zip(labels, idx)]
+                                  + [v[rows].tolist() for v in values]))
 
 
 def field_to_csv(field, path):
@@ -81,12 +95,19 @@ def mask_to_csv(grid, mask, path):
 def write_plot_csv(path, comment, columns):
     """One plot file: '#'-prefixed comment naming the columns, then rows.
 
-    columns is an ordered mapping name -> 1-d sequence, all equal length.
+    columns is an ordered mapping name -> 1-d sequence, all equal length
+    (None prints as nan); ValueError, before the file is opened, when the
+    lengths differ or there is no column.  Every line of comment gets its
+    own '# '.
     """
-    np.savetxt(path, np.column_stack([np.asarray(col, dtype=float)
-                                      for col in columns.values()]),
-               delimiter=",", fmt="%.17g", comments="# ",
-               header=f"{comment}\ncolumns: " + ",".join(columns))
+    data = np.column_stack([np.asarray(col, dtype=float)
+                            for col in columns.values()])
+    cols = data.T.tolist()
+    header = f"{comment}\ncolumns: " + ",".join(columns)
+    with open(path, "w") as fh:
+        fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        _write_rows(fh, ["%.17g"] * len(cols), len(data),
+                    lambda rows: [col[rows] for col in cols])
 
 
 def report_to_dict(report):
@@ -99,10 +120,17 @@ def report_to_dict(report):
     }
 
 
+def json_text(obj):
+    """The JSON text conelab writes for obj, to a file or to stdout."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def report_to_json(report, path):
+    """Write the report's JSON text to path; returns the text."""
+    text = json_text(report_to_dict(report))
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return text
 
 
 def load_json(path):

@@ -309,6 +309,99 @@ class TestTinyCore:
         assert not (tmp_path / "rep").exists()
 
 
+# a source whose L^q norm overflows: rhs, norm and margin are inf
+HUGE_SOURCE_CFG = {"n": 3, "k": 2, "q": 2.0, "h": [0.25],
+                   "f": {"type": "gaussian",
+                         "params": {"amp": 1e200, "width": 0.5,
+                                    "center": [0, 0, 5]}}}
+
+
+class TestNonFiniteBound:
+    """A max_principle bound that is not finite is a numerical failure,
+    not a verdict."""
+
+    def test_exp_exits_3(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(HUGE_SOURCE_CFG))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["exp", "max_principle", "--config", str(p),
+                             "--out", str(tmp_path / "rep")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Infinity" not in captured.out
+        assert "error: bound report: rhs = inf is not finite" in \
+            captured.err.splitlines()
+        assert not (tmp_path / "rep").exists()
+
+    def test_suite_keeps_the_valid_report(self, capsys, tmp_path):
+        battery = {"experiments": [
+            {"exp": "max_principle", "name": "huge", **HUGE_SOURCE_CFG},
+            {"exp": "max_principle", "name": "bubble", "n": 3, "k": 2,
+             "q": 2.0, "h": [0.25],
+             "f": {"type": "constant", "params": {"value": 6.0}}}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["suite", "--config", str(p),
+                             "--out", str(tmp_path / "suite")])
+        d = json.loads(capsys.readouterr().out)
+        assert code == 3 and d["exit_code"] == 3
+        assert [(r["name"], r["passed"], r["error"]) for r in d["reports"]] \
+            == [("huge", False, "NumericError: bound report: rhs = inf is "
+                                "not finite"),
+                ("bubble", True, None)]
+        assert (tmp_path / "suite" / "bubble" / "report.json").exists()
+        assert not (tmp_path / "suite" / "huge").exists()
+
+
+# per experiment, a quick config that runs in exploratory mode
+QUICK_EXP = {
+    "max_principle": {"n": 3, "k": 2, "q": 2.0, "h": [0.25, 0.2]},
+    "w22": {"n": 3, "k": 2, "q": 2.0, "h": 0.125},
+    "local_max": {"n": 3, "k": 2, "q": 2.0, "h": 0.25},
+    "oscillation": {"n": 3, "k": 2, "q": 2.0, "h": 0.25},
+    "sharpness": {"n": 3, "k": 2, "q": 1.5,
+                  "eps_ladder": [0.125, 0.0625, 0.03125]},
+    "log_family": {"n": 4, "k": 2, "q": 2.0,
+                   "eps_ladder": [0.125, 0.0625, 0.03125]},
+}
+
+
+class TestReportText:
+    """exp encodes its report once: stdout is the text of report.json."""
+
+    @pytest.mark.parametrize("name", sorted(lab.EXPERIMENTS))
+    def test_stdout_is_the_report_file(self, capsys, tmp_path, monkeypatch,
+                                       name):
+        texts = []
+
+        def json_text(obj, text=serialize.json_text):
+            texts.append(text(obj))
+            return texts[-1]
+        monkeypatch.setattr(serialize, "json_text", json_text)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**QUICK_EXP[name], "mode": "exploratory"}))
+        code, out = run_cli(capsys, "exp", name, "--config", str(p),
+                            "--out", str(tmp_path / "rep"))
+        assert code in (0, 1)
+        assert out.encode() == (tmp_path / "rep" / "report.json").read_bytes()
+        assert texts == [out]
+
+    def test_write_report_needs_no_savetxt(self, tmp_path, monkeypatch):
+        def savetxt(*args, **kwargs):
+            raise AssertionError("np.savetxt called")
+        monkeypatch.setattr(np, "savetxt", savetxt)
+        rep = lab.run_one("max_principle", {**QUICK_EXP["max_principle"],
+                                            "mode": "exploratory"})
+        assert rep.plots
+        text = lab.write_report(rep, tmp_path / "rep")
+        assert text == (tmp_path / "rep" / "report.json").read_text()
+        for fname in rep.plots:
+            assert (tmp_path / "rep" / fname).read_text().startswith("# ")
+
+
 class TestSuiteCommand:
     def test_suite_runs_and_exits_zero(self, capsys, tmp_path):
         battery = {"experiments": [

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conelab import fd, serialize
 
@@ -135,6 +137,18 @@ class TestFieldBinary:
         assert first == f.values.flat[0]
 
 
+# plot values: any float (nan, +-inf, +-0.0, subnormals, +-1e308), the
+# extremes by name, integers, bools and None (which prints as nan)
+PLOT_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1e-308,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.integers(-2 ** 62, 2 ** 62), st.booleans(), st.none())
+PLOT_NAME_CHARS = "abcxyz_019 -"
+# multi-line comments included
+PLOT_COMMENT_CHARS = "abc xyz#,.:-=*01\n\t"
+
+
 class TestPlotCsv:
     def test_comment_headers(self, tmp_path):
         p = tmp_path / "plot.csv"
@@ -145,9 +159,39 @@ class TestPlotCsv:
         assert lines[2] == "1,3"
 
     def test_unequal_columns_rejected(self, tmp_path):
+        p = tmp_path / "p.csv"
         with pytest.raises(ValueError):
-            serialize.write_plot_csv(tmp_path / "p.csv", "c",
-                                     {"x": [1], "y": [1, 2]})
+            serialize.write_plot_csv(p, "c", {"x": [1], "y": [1, 2]})
+        assert not p.exists()
+
+    def test_empty_columns_rejected(self, tmp_path):
+        p = tmp_path / "p.csv"
+        with pytest.raises(ValueError):
+            serialize.write_plot_csv(p, "c", {})
+        assert not p.exists()
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bytes_match_savetxt(self, tmp_path, data):
+        ncols = data.draw(st.integers(1, 5), label="columns")
+        nrows = data.draw(st.integers(0, 40), label="rows")
+        names = data.draw(st.lists(st.text(PLOT_NAME_CHARS, min_size=1,
+                                           max_size=6),
+                                   min_size=ncols, max_size=ncols,
+                                   unique=True), label="names")
+        columns = {name: data.draw(st.lists(PLOT_VALUES, min_size=nrows,
+                                            max_size=nrows), label=name)
+                   for name in names}
+        comment = data.draw(st.text(PLOT_COMMENT_CHARS, max_size=30),
+                            label="comment")
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        serialize.write_plot_csv(got, comment, columns)
+        np.savetxt(ref, np.column_stack([np.asarray(col, dtype=float)
+                                         for col in columns.values()]),
+                   delimiter=",", fmt="%.17g", comments="# ",
+                   header=f"{comment}\ncolumns: " + ",".join(columns))
+        assert got.read_bytes() == ref.read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -201,8 +201,9 @@ class Grid:
     def radius_map(self):
         """Each node's distance from the center of a ball domain."""
         c = self.domain.center
+        # sparse: the 1-d axes broadcast, so only the sum is a full array
         mesh = np.meshgrid(*[ax - c[i] for i, ax in enumerate(self.axes)],
-                           indexing="ij")
+                           indexing="ij", sparse=True)
         return np.sqrt(sum(x ** 2 for x in mesh))
 
     def points(self, mask=None):

@@ -578,23 +578,38 @@ def exp_log_family(cfg, rep):
         {"eps": list(cfg.eps_ladder), "norm": norms, "inf": infs})
 
 
+def _finite(name, value):
+    """value, or NumericError naming its report field when it is not
+    finite, so that no verdict is taken on it."""
+    if not np.isfinite(value):
+        raise symcone.NumericError(f"{name} = {value} is not finite")
+    return value
+
+
+def _f_term(cfg, grid, coeff, f):
+    """The rhs term R^{2-n/q} ||f||_q / min rho*_k over the lattice of
+    local_max and oscillation, checked by _finite."""
+    rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
+    return _finite("f_term", cfg.domain.radius ** (2.0 - cfg.n / cfg.q)
+                   / rho0 * fd.lq_norm(f, cfg.q))
+
+
 def exp_local_max(cfg, rep):
     """Interior sup bound: sup_{B_sigma} u+ relative to a mean of u+ over
     the full ball plus a scaled rhs norm.  Property run: the ratio must be
     stable under h-refinement (max/min <= 1.5), no value asserted.  The
     rhs term takes the least rho*_k over the lattice."""
-    R = cfg.domain.radius
     # every rung is checked before any solve
     inners = [_inner_ball(cfg, h, cfg.sigma, "sigma") for h in cfg.h_ladder]
     ratios = []
     for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)
-        rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
+        fterm = _f_term(cfg, grid, coeff, f)
         up = fd.ScalarField(grid, np.maximum(u.values, 0.0))
         lhs = float(np.max(up.values[inner]))
         vol = np.count_nonzero(grid.interior) * grid.volume_weight()
-        mean_p = (fd.lq_norm(up, cfg.p) ** cfg.p / vol) ** (1.0 / cfg.p)
-        fterm = R ** (2.0 - cfg.n / cfg.q) / rho0 * fd.lq_norm(f, cfg.q)
+        mean_p = _finite("mean_term", (fd.lq_norm(up, cfg.p) ** cfg.p / vol)
+                         ** (1.0 / cfg.p))
         denom = mean_p + fterm
         ratio = lhs / denom if denom > 0 else 0.0
         ratios.append(ratio)
@@ -618,11 +633,9 @@ def exp_oscillation(cfg, rep):
     inners = [_inner_ball(cfg, h, sigma, "sigma_ladder")
               for sigma in cfg.sigma_ladder]
     grid, coeff, f, u = _solve(cfg, h)
-    rho0 = float(green.rho_star_field(coeff, cfg.k, grid.interior).min())
+    fterm = _f_term(cfg, grid, coeff, f)
     oscs = []
     nonneg = bool(np.min(u.values[grid.interior]) >= -1e-12)
-    fterm = (cfg.domain.radius ** (2.0 - cfg.n / cfg.q) / rho0
-             * fd.lq_norm(f, cfg.q))
     for sigma, inner in zip(cfg.sigma_ladder, inners):
         sup, inf, osc = fd.sup_inf_osc(u, inner)
         oscs.append(osc)
@@ -702,7 +715,7 @@ EXPERIMENTS = {
 }
 
 # exit code of `conelab` for each error an experiment may raise
-ERROR_EXIT_CODES = {ValueError: 2, symcone.NumericError: 3}
+ERROR_EXIT_CODES = {ValueError: 2, symcone.NumericError: 3, MemoryError: 3}
 
 
 def error_exit_code(exc):
@@ -766,10 +779,11 @@ def run_suite(battery, out_dir=None):
     """Run a battery {"experiments": [{"exp": name, ...config...}]}.
 
     Experiments run concurrently on worker_count() threads; reports are
-    assembled in declaration order.  A job that raises ValueError or
-    NumericError yields a report with that error, no verdicts and no
-    files.  Returns (reports, exit_code), the code being the highest of 0
-    (passed), 1 (a verdict failed) and error_exit_code of each error.
+    assembled in declaration order.  A job that raises an error of
+    ERROR_EXIT_CODES (ValueError, NumericError, MemoryError) yields a
+    report with that error, no verdicts and no files.  Returns (reports,
+    exit_code), the code being the highest of 0 (passed), 1 (a verdict
+    failed) and error_exit_code of each error.
     Each job's files go to <out_dir>/<name>, so a name (default
     "experiment") must be one plain path component, used by one job only.
     """

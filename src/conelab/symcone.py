@@ -9,6 +9,9 @@ over a stack of spectra (cone_slack, rho_star_rows); in_cone and rho_star
 are their one-row cases, and matrix_cone_slack is cone_slack of the spectra
 of a stack of symmetric matrices, from their power sums.
 
+Public functions validate lam and k once, at entry; private helpers
+(leading underscore) trust their input, and public functions call those.
+
 scipy.optimize (SLSQP, for dual_margin at 3 <= k < n) loads on first access
 of symcone.minimize (a PEP 562 module __getattr__), so a process that never
 reaches it never imports it.
@@ -127,7 +130,7 @@ def rho_k(lam, k):
     """
     lam = _check_spectrum(lam)
     k = _check_k(k, lam.size)
-    sk = elem_sym(lam, k)
+    sk = float(elem_sym_table(lam)[k])
     if sk < 0:
         raise ValueError(f"S_{k} = {sk} < 0: spectrum outside the closed cone")
     return (sk / comb(lam.size, k)) ** (1.0 / k)
@@ -264,9 +267,11 @@ def _dual_margin_optimize(lam, k):
     return best * scale
 
 
-def _closed_margins(lam, k):
-    """dual_margin of each row of lam (m, n), for k in {1, 2, n}."""
+def _dual_margins(lam, k):
+    """dual_margin of each row of lam (m, n)."""
     n = lam.shape[1]
+    if k not in (1, 2, n):
+        return np.array([_dual_margin_optimize(row, k) for row in lam])
     norm = np.linalg.norm(lam, axis=1)
     perp = np.linalg.norm(lam - lam.mean(axis=1, keepdims=True), axis=1)
     if k == 1:
@@ -294,19 +299,13 @@ def dual_margin(lam, k):
     the open G_3 reaches -0.19396.
     """
     lam = _check_spectrum(lam)
-    n = lam.size
-    k = _check_k(k, n)
-    if k in (1, 2, n):
-        return float(_closed_margins(lam[None], k)[0])
-    return _dual_margin_optimize(lam, k)
+    return float(_dual_margins(lam[None], _check_k(k, lam.size))[0])
 
 
 def in_dual_cone(lam, k):
     """Membership of lam in the dual cone G*_k, with the sphere margin."""
-    lam = _check_spectrum(lam)
-    k = _check_k(k, lam.size)
     m = dual_margin(lam, k)
-    return ConeVerdict(m >= -MEMBERSHIP_TOL, m, k, DUAL)
+    return ConeVerdict(m >= -MEMBERSHIP_TOL, m, int(k), DUAL)
 
 
 def rho_star_closed_form_2(lam):
@@ -404,45 +403,68 @@ def _barrier_newton(a, k):
     return None
 
 
-def rho_star_program(lam, k):
-    """Dual gauge for 2 <= k <= n by barrier Newton (_barrier_newton).
-
-    With a = lam/|lam|, rho*_k(lam) = |lam| / sup { rho_k(mu) : mu in G_k,
-    a.mu = n }, attained at the maximizer.  Without one, dual_margin decides:
-    outside G*_k raises ValueError, on its boundary gives 0, inside
-    NumericError.  k = 2, n cross-check the closed forms; k = 1 raises.
-    """
-    lam = _check_spectrum(lam)
+def _barrier_gauge(lam, k):
+    """(rho*_k(lam), dual margin), 2 <= k <= n: with a = lam/|lam|, rho*_k
+    = |lam| / sup { rho_k(mu) : mu in G_k, a.mu = n } at _barrier_newton's
+    maximizer (lam is then interior: margin inf); without one (0, margin)
+    for a margin below BOUNDARY_TOL |lam|, else NumericError."""
     n = lam.size
-    k = _check_k(k, n)
-    if k == 1:
-        raise ValueError("rho_star_program needs k >= 2; rho*_1 is mean(lam)")
     scale = float(np.linalg.norm(lam))
     if scale == 0.0:
-        return 0.0
+        return 0.0, 0.0
     a = lam / scale
     found = _barrier_newton(a, k)
     if found is not None:
         mu, sk = found
         rho = (float(sk) / comb(n, k)) ** (1.0 / k)     # rho_k(mu)
-        return scale * float(a @ mu / n) / rho
-    margin = dual_margin(lam, k)
-    if margin < -MEMBERSHIP_TOL * scale:
+        return scale * float(a @ mu / n) / rho, np.inf
+    margin = float(_dual_margins(lam[None], k)[0])
+    if margin >= BOUNDARY_TOL * scale:
+        raise NumericError("rho*_k barrier Newton did not converge")
+    return 0.0, margin
+
+
+def rho_star_program(lam, k):
+    """Dual gauge for 2 <= k <= n by barrier Newton (_barrier_gauge); with
+    no maximizer, outside G*_k raises ValueError, on its boundary gives 0,
+    inside NumericError.  k = 2, n cross-check the closed forms; k = 1
+    raises."""
+    lam = _check_spectrum(lam)
+    k = _check_k(k, lam.size)
+    if k == 1:
+        raise ValueError("rho_star_program needs k >= 2; rho*_1 is mean(lam)")
+    val, margin = _barrier_gauge(lam, k)
+    if margin < -MEMBERSHIP_TOL * float(np.linalg.norm(lam)):
         raise ValueError(f"spectrum not in dual cone G*_{k} "
                          f"(margin {margin:.3e})")
-    if margin < BOUNDARY_TOL * scale:
-        return 0.0
-    raise NumericError("rho*_k barrier Newton did not converge")
+    return val
 
 
-def _optimized_gauge(lam, k):
-    """rho_star_program(lam, k) with the rule of rho_star_rows: nan
-    outside G*_k, 0 within BOUNDARY_TOL |lam| of its boundary."""
-    try:
-        val = rho_star_program(lam, k)
-    except ValueError:      # outside G*_k
-        return np.nan
-    return 0.0 if val < BOUNDARY_TOL * float(np.linalg.norm(lam)) else val
+def _gauge_rows(lam, k):
+    """rho_star_rows of a stack lam (m, n) whose spectra and k are valid."""
+    lam = np.sort(lam, axis=1)[:, ::-1]
+    m, n = lam.shape
+    scale = np.linalg.norm(lam, axis=1)
+    if k not in (1, 2, n):
+        path, calls = "optimized", m
+        vals, margin = np.array(
+            [_barrier_gauge(row, k) for row in lam]).reshape(m, 2).T
+        vals = np.where(vals < BOUNDARY_TOL * scale, 0.0, vals)
+    else:
+        if k == 1:
+            path, vals = "closed_k1", lam.mean(axis=1)
+        elif k == 2:
+            s1 = lam.sum(axis=1)
+            disc = s1 ** 2 - (n - 1) * np.sum(lam ** 2, axis=1)
+            path, vals = "closed_k2", np.sqrt(np.maximum(disc, 0.0) / n)
+        else:
+            path = "closed_kn"
+            vals = np.prod(np.maximum(lam, 0.0), axis=1) ** (1.0 / n)
+        margin, calls = _dual_margins(lam, k), 0
+    if k > 1:
+        vals = np.where(margin < BOUNDARY_TOL * scale, 0.0, vals)
+    vals = np.where(margin < -MEMBERSHIP_TOL * scale, np.nan, vals)
+    return vals, path, calls
 
 
 def rho_star_rows(lam, k):
@@ -453,29 +475,11 @@ def rho_star_rows(lam, k):
     one within BOUNDARY_TOL |lam| of its boundary 0; G*_1, the ray of
     (1, ..., 1), has no interior, so every row on it gets mean(lam).
     Closed forms for k in {1, 2, n} (path closed_k1, closed_k2, closed_kn;
-    no optimizer call); otherwise (path optimized) rho_star_program once
+    no optimizer call); otherwise (path optimized) _barrier_gauge once
     per row, so a caller passes each distinct spectrum once.
     """
-    lam = np.sort(_check_spectrum(lam, ndim=2), axis=1)[:, ::-1]
-    n = lam.shape[1]
-    k = _check_k(k, n)
-    if k not in (1, 2, n):
-        vals = [_optimized_gauge(row, k) for row in lam]
-        return np.array(vals, dtype=float), "optimized", len(vals)
-    if k == 1:
-        path, vals = "closed_k1", lam.mean(axis=1)
-    elif k == 2:
-        s1 = lam.sum(axis=1)
-        disc = s1 ** 2 - (n - 1) * np.sum(lam ** 2, axis=1)
-        path, vals = "closed_k2", np.sqrt(np.maximum(disc, 0.0) / n)
-    else:
-        path = "closed_kn"
-        vals = np.prod(np.maximum(lam, 0.0), axis=1) ** (1.0 / n)
-    margin = _closed_margins(lam, k)
-    scale = np.linalg.norm(lam, axis=1)
-    if k > 1:
-        vals = np.where(margin < BOUNDARY_TOL * scale, 0.0, vals)
-    return np.where(margin < -MEMBERSHIP_TOL * scale, np.nan, vals), path, 0
+    lam = _check_spectrum(lam, ndim=2)
+    return _gauge_rows(lam, _check_k(k, lam.shape[1]))
 
 
 def rho_star(lam, k):
@@ -483,7 +487,7 @@ def rho_star(lam, k):
     ValueError outside G*_k."""
     lam = _check_spectrum(lam)
     k = _check_k(k, lam.size)
-    val = float(rho_star_rows(lam[None], k)[0][0])
+    val = float(_gauge_rows(lam[None], k)[0][0])
     if np.isnan(val):
         raise ValueError(f"spectrum not in dual cone G*_{k}")
     return val
@@ -571,15 +575,6 @@ def gs_spectrum(n, alpha):
     return lam
 
 
-def _check_symmetric(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.array_equal(A, A.T):
-        raise ValueError("matrix must be exactly symmetric")
-    return A
-
-
 def gamma2_star_matrix_test(A):
     """Matrix-norm characterization of G*_2:
     member iff tr A > 0 and ||(n-1)/tr(A) * A - I||_HS <= 1.
@@ -587,7 +582,11 @@ def gamma2_star_matrix_test(A):
     The Hilbert-Schmidt norm makes this identical (by expanding the square)
     to the eigenvalue ball characterization |lam| <= S_1/sqrt(n-1).
     """
-    A = _check_symmetric(A)
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix must be exactly symmetric")
     n = A.shape[0]
     tr = float(np.trace(A))
     if tr <= 0.0:

@@ -104,6 +104,23 @@ class TestConeCommands:
         assert code == 2 and "dual cone G*_1" in err
 
 
+# conelab cone argv with the exit code, stdout and stderr each gave before
+# symcone validated each input once; tests/data/cone_stdout.json
+CONE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cone_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("case", CONE_GOLDEN,
+                         ids=[" ".join(c["argv"][1:]) for c in CONE_GOLDEN])
+def test_cone_output_is_pinned(capsys, case):
+    # k = 1, 2, 3 and n; exterior and boundary spectra, the G*_1 ray, an
+    # SLSQP dual margin (k = 3 < n) and a sampling-oracle query
+    code = cli.main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        case["exit_code"], case["stdout"], case["stderr"])
+
+
 class TestSolveCommand:
     def test_solve_writes_fields(self, capsys, tmp_path):
         cfg = {"n": 2, "k": 2, "q": 2.0, "h": 0.125,
@@ -354,6 +371,75 @@ class TestNonFiniteBound:
                 ("bubble", True, None)]
         assert (tmp_path / "suite" / "bubble" / "report.json").exists()
         assert not (tmp_path / "suite" / "huge").exists()
+
+
+class TestNonFiniteTerms:
+    """local_max and oscillation take no verdict on an f_term or mean_term
+    that is not finite: the run is a numerical failure."""
+
+    def run(self, capsys, tmp_path, name):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(HUGE_SOURCE_CFG))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(["exp", name, "--config", str(p),
+                             "--out", str(tmp_path / "rep")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Infinity" not in captured.out
+        assert not (tmp_path / "rep").exists()
+        return captured.err.splitlines()
+
+    @pytest.mark.parametrize("name", ["local_max", "oscillation"])
+    def test_f_term_exits_3(self, capsys, tmp_path, name):
+        assert "error: f_term = inf is not finite" in self.run(
+            capsys, tmp_path, name)
+
+    def test_mean_term_exits_3(self, capsys, tmp_path, monkeypatch):
+        # a finite f_term leaves the overflowed mean of u+ to be caught
+        monkeypatch.setattr(lab, "_f_term", lambda *args: 1.0)
+        assert "error: mean_term = inf is not finite" in self.run(
+            capsys, tmp_path, "local_max")
+
+
+class TestResourceFailure:
+    """A MemoryError is exit 3, and a suite keeps its other reports."""
+
+    MESSAGE = "Unable to allocate 3.84 GiB for an array"
+
+    @pytest.fixture(autouse=True)
+    def no_memory(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError(self.MESSAGE)
+        monkeypatch.setattr(fd, "build_grid", fail)
+
+    def test_exp_exits_3(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": 3, "k": 2, "q": 2.0, "h": [0.25]}))
+        code, err = run_failing(capsys, "exp", "max_principle", "--config",
+                                str(p), "--out", str(tmp_path / "rep"))
+        assert code == 3 and err == f"error: {self.MESSAGE}\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_suite_keeps_the_other_reports(self, capsys, tmp_path):
+        battery = {"experiments": [
+            {"exp": "max_principle", "name": "big", "n": 3, "k": 2,
+             "q": 2.0, "h": [0.25]},
+            {"exp": "log_family", "name": "lg", "n": 4, "k": 2, "q": 2.0,
+             "mode": "exploratory", "eps_ladder": [0.125, 0.0625, 0.03125]}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        code = cli.main(["suite", "--config", str(p),
+                         "--out", str(tmp_path / "suite")])
+        captured = capsys.readouterr()
+        d = json.loads(captured.out)
+        assert code == 3 and d["exit_code"] == 3
+        assert [(r["name"], r["passed"], r["error"]) for r in d["reports"]] \
+            == [("big", False, f"MemoryError: {self.MESSAGE}"),
+                ("lg", True, None)]
+        assert captured.err == f"error: {self.MESSAGE}\n"
+        assert (tmp_path / "suite" / "lg" / "report.json").exists()
+        assert not (tmp_path / "suite" / "big").exists()
 
 
 # per experiment, a quick config that runs in exploratory mode

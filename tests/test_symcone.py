@@ -95,6 +95,54 @@ class TestConeIndex:
             K_ENTRY_POINTS[entry](2))
 
 
+class TestOneCheck:
+    """Each public entry point validates its spectrum and k exactly once;
+    what it calls inside symcone trusts them."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"_check_spectrum": 0, "_check_k": 0}
+        for name in counts:
+            real = getattr(sc, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(sc, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_entry_points(self, counts, entry, k):
+        try:
+            K_ENTRY_POINTS[entry](k)
+        except ValueError:
+            pass    # rho_star_program at k = 1, rho_star off G*_1
+        assert counts == {"_check_spectrum": 1, "_check_k": 1}
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_program_fallback(self, counts, monkeypatch, k):
+        # Newton finds no maximizer, so dual_margin's value decides
+        calls, real = [], sc._barrier_newton
+
+        def counted(a, k):
+            calls.append(k)
+            return real(a, k)
+        monkeypatch.setattr(sc, "_barrier_newton", counted)
+        with pytest.raises(ValueError, match="dual cone"):
+            sc.rho_star_program([1.0, 1.0, 1.0, -3.0], k)
+        assert calls == [k]
+        assert counts == {"_check_spectrum": 1, "_check_k": 1}
+
+    def test_rows_optimized_stack(self, counts):
+        rng = np.random.default_rng(5)
+        lam = np.vstack([rng.uniform(0.5, 1.5, (5, 4)), [1.0, 1.0, 1.0, -3.0]])
+        vals, path, calls = sc.rho_star_rows(lam, 3)
+        assert path == "optimized" and calls == 6
+        assert np.isfinite(vals[:5]).all() and np.isnan(vals[5])
+        assert counts == {"_check_spectrum": 1, "_check_k": 1}
+
+
 class TestRhoK:
     def test_all_ones(self):
         for k in (1, 2, 3):

@@ -4,14 +4,17 @@ Subcommands: cone eval|dual|rho-star, solve, exp, suite.  Spectra are
 comma-separated literals; configs are JSON files.  Exit code 0 on success
 (and all verdicts passing for exp/suite), 1 on failing verdicts, 2 on
 usage or configuration errors (a ValueError: a malformed spectrum, a
-missing, unreadable or invalid config), 3 on a numerical failure
-(NumericError: a linear solve, optimizer or quadrature that did not
-converge, a norm out of float range, a max_principle bound whose lhs,
-rhs, norm or margin is not finite, or a local_max or oscillation term
-that is not finite) or on a resource failure (MemoryError: an array too
-large to allocate).  The commands raise; main alone maps each error to
-one "error:" line on stderr and its code, and returns the code.  A suite
-runs every job, lists the errors raised, and exits with the highest code.
+missing, unreadable or invalid config, a spacing whose lattice has more
+than fd.NODE_BUDGET nodes, checked for every rung before the first
+solve), 3 on a numerical failure (NumericError: a linear solve, optimizer
+or quadrature that did not converge, a norm out of float range, a
+max_principle bound whose lhs, rhs, norm or margin is not finite, or a
+local_max or oscillation term that is not finite) or on a resource
+failure (MemoryError: an array too large to allocate).  The commands
+raise; main alone maps each error to one "error:" line on stderr (its
+message, or its type's name when it has none) and its code, and returns
+the code.  A suite runs every job, lists the errors raised, and exits with
+the highest code.
 
 CONELAB_LOG=<level> (debug, info, warning or error) sends the records of
 the conelab loggers at that level and above to stderr for the duration of
@@ -45,6 +48,12 @@ def _emit(obj):
     sys.stdout.write(serialize.json_text(obj))
 
 
+def _print_error(exc):
+    """The "error:" line of exc on stderr: its message, or the name of its
+    type when it has none (a bare MemoryError)."""
+    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+
+
 def cmd_cone(args):
     lam = parse_spectrum(args.spectrum)
     k = args.k
@@ -68,6 +77,7 @@ def cmd_solve(args):
     if ecfg.domain is None:
         raise ValueError("solve needs a 'domain' in the config")
     h = lab.one_spacing("solve", ecfg)
+    lab.check_lattices(ecfg)
     grid, coeff, f, u = lab._solve(ecfg, h)
     sup, inf, osc = fd.sup_inf_osc(u)
     os.makedirs(args.out, exist_ok=True)
@@ -93,7 +103,7 @@ def cmd_suite(args):
     reports, code = lab.run_suite(args.config, out_dir=args.out)
     for r in reports:
         if r.exc is not None:
-            print(f"error: {r.exc}", file=sys.stderr)
+            _print_error(r.exc)
     _emit({"reports": [{"name": r.name, "passed": r.passed,
                         "wall_time": r.wall_time, "error": r.error}
                        for r in reports],
@@ -173,7 +183,7 @@ def main(argv=None):
         with _stderr_logging():
             return args.fn(args)
     except tuple(lab.ERROR_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return lab.error_exit_code(exc)
 
 

@@ -12,16 +12,19 @@ are handled by cut cells: the first lattice layer outside the interior carries
 Dirichlet data evaluated at the radial projection onto the sphere, which costs
 one order at the boundary.
 
-Coefficients and stencil weights live on interior nodes only, in row-major
-(np.flatnonzero) order.  Every lattice difference finds each neighbour by
-flat-index arithmetic, position + offset . strides (_positions), and
-apply_L and hessian_field sum the gathered neighbour values in one
-function (_gather).  build_grid keeps the last 8 lattices of the process
-as read-only Grids shared by every caller, and the assembly is split the
-same way: the CSR pattern (indptr, indices, and per block of rows the take
-index of its interior columns and its boundary neighbours) depends on the
-lattice alone, and solve_dirichlet fills only the weights into it.  A
-lattice of at most _BLOCK_ROWS interior nodes is one block and keeps its
+Coefficients, stencil weights and Hessians live on interior nodes only
+(Hessians on those one layer in), in row-major (np.flatnonzero) order, so
+no array of matrices spans the box.  Every lattice difference finds each
+neighbour by flat-index arithmetic, position + offset . strides
+(_positions), and apply_L and hessian_field sum the gathered neighbour
+values in one function (_gather).  A lattice has at most NODE_BUDGET
+nodes, counted by lattice_shape from the domain and h before any array is
+built.  build_grid keeps the last 8 lattices of the process as read-only
+Grids shared by every caller, and the assembly is split the same way: the
+CSR pattern (indptr, indices, and per block of rows the take index of its
+interior columns and its boundary neighbours) depends on the lattice
+alone, and solve_dirichlet fills only the weights into it.  A lattice of
+at most _BLOCK_ROWS interior nodes is one block and keeps its
 pattern on its Grid, so a repeat solve there computes the _stencil weights,
 scatters them into data and subtracts the boundary terms from the
 right-hand side; a larger lattice builds its pattern again block by block
@@ -72,6 +75,12 @@ MIN_INTERIOR_PER_AXIS = 3
 RESIDUAL_TOL = 1e-6     # accepted relative residual of a linear solve
 SOLVE_RTOL = 1e-10      # relative tolerance BiCGSTAB iterates to
 _BLOCK_ROWS = 8192      # interior rows per assembly block and matvec slab
+# the most nodes a lattice may have.  Peak RSS above the base measured 461
+# to 688 B per unknown (gilbarg_serrin, n = 3 unit ball, h = 1/40 to 1/16),
+# and about half of a ball lattice's nodes are unknowns (pi/6 at n = 3), so
+# 2^23 nodes cost about 2 to 3 GB; a box lattice, all but its faces
+# unknowns, up to twice that
+NODE_BUDGET = 2 ** 23
 # held while a lattice's Grid or kept pattern is built, so each is built once
 _LATTICE_LOCK = threading.Lock()
 # the keys of a domain's dict beside "kind": the arguments of Domain.<kind>
@@ -149,6 +158,28 @@ class Domain:
         return getattr(Domain, d["kind"])(*(d[key] for key in keys))
 
 
+def lattice_shape(domain, h):
+    """The shape of the lattice of domain at spacing h, from the domain and h
+    alone: extent/h + 1 nodes per axis of a box, 2 ceil(R/h) + 2 of a ball.
+    ValueError, before any array is built, unless h > 0, each box extent is
+    a multiple of h and the lattice has at most NODE_BUDGET nodes."""
+    if not h > 0:
+        raise ValueError("spacing h must be positive")
+    if domain.kind == "box":
+        extent = domain.hi - domain.lo
+        counts = np.round(extent / h)
+        if np.any(np.abs(counts * h - extent) > 1e-9 * h):
+            raise ValueError("box extents must be multiples of h")
+        per_axis = counts + 1
+    else:
+        per_axis = np.full(domain.dim, 2 * np.ceil(domain.radius / h) + 2)
+    nodes = float(np.prod(per_axis))    # a float: it may exceed any int64
+    if nodes > NODE_BUDGET:
+        raise ValueError(f"spacing {h:g} needs {nodes:.0f} lattice nodes, "
+                         f"above the budget of {NODE_BUDGET}")
+    return tuple(int(c) for c in per_axis)
+
+
 class Grid:
     """Uniform lattice over a domain with interior/boundary classification.
 
@@ -158,23 +189,18 @@ class Grid:
     """
 
     def __init__(self, domain, h):
-        if h <= 0:
-            raise ValueError("spacing h must be positive")
+        shape = lattice_shape(domain, h)
         self.domain = domain
         self.h = float(h)
         n = domain.dim
         if domain.kind == "box":
-            counts = np.round((domain.hi - domain.lo) / h).astype(int)
-            if np.any(np.abs(counts * h - (domain.hi - domain.lo)) > 1e-9 * h):
-                raise ValueError("box extents must be multiples of h")
-            self.axes = [domain.lo[i] + np.arange(counts[i] + 1) * h
+            self.axes = [domain.lo[i] + np.arange(shape[i]) * h
                          for i in range(n)]
-            shape = tuple(c + 1 for c in counts)
             interior = np.zeros(shape, dtype=bool)
             interior[(slice(1, -1),) * n] = True
             active = np.ones(shape, dtype=bool)
         else:
-            m = int(np.ceil(domain.radius / h)) + 1
+            m = shape[0] // 2
             self.axes = [domain.center[i] + (np.arange(-m, m) + 0.5) * h
                          for i in range(n)]
             interior = self.radius_map() < domain.radius - h / 2
@@ -210,7 +236,9 @@ class Grid:
         """Node coordinates, shape = grid shape + (n,); with a mask, those
         of its nodes in row-major order, shape (count, n)."""
         if mask is None:
-            return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+            # broadcast views, copied once by the stack
+            return np.stack(np.meshgrid(*self.axes, indexing="ij",
+                                        copy=False), axis=-1)
         return np.stack([ax[i] for ax, i in zip(self.axes, np.nonzero(mask))],
                         axis=-1)
 
@@ -769,17 +797,16 @@ def sup_inf_osc(f, mask=None):
 
 
 def hessian_field(u):
-    """Central-difference Hessian per node and its validity mask (interior
-    nodes one layer in), zero off that mask.  Exactly symmetric by
-    construction."""
+    """(H, valid): the central-difference Hessian on the interior nodes one
+    layer in (valid), one (n, n) matrix per node in row-major order, the
+    layout of CoeffField.A.  Exactly symmetric by construction."""
     grid = u.grid
     n = grid.dim
     valid = interior_eroded(grid, 1)
     pos, strides = _positions(valid)
-    H = np.zeros(grid.shape + (n, n))
-    nodes = H.reshape(-1, n, n)     # a view: writes land in H
+    H = np.empty((pos.size, n, n))
     for i, j, scale, terms in _difference_table(n):
-        nodes[pos, i, j] = nodes[pos, j, i] = (
+        H[:, i, j] = H[:, j, i] = (
             _gather(u.values, pos, strides, terms) / (scale * grid.h ** 2))
     return H, valid
 
@@ -797,6 +824,6 @@ def w22_seminorm(u, mask):
     allowed = interior_eroded(grid, 2)
     if np.any(mask & ~allowed):
         raise ValueError("mask must stay two layers inside the boundary")
-    H, _ = hessian_field(u)
-    frob2 = np.sum(H[mask] ** 2, axis=(-1, -2))
+    H, valid = hessian_field(u)
+    frob2 = np.sum(H[mask[valid]] ** 2, axis=(-1, -2))
     return float(np.sqrt(np.sum(frob2) * grid.volume_weight()))

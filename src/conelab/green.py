@@ -1,5 +1,6 @@
-"""Contact-set surrogates, ball Green's functions, the rho*_k field and
-the explicit constants of the sharp sup-bound.
+"""Contact-set surrogates, ball Green's functions, the rho*_k field, and the
+sharp sup-bound: its weighted norm ||f/rho*_k(A)||_{L^q} (weighted_norm, the
+one place f is divided by rho*_k) and its explicit constants.
 
 Supported Green's functions: balls only, k >= n/2.  The ball Green function
 is radial.power_profile(2 - n/k) of the distance to the pole, scaled and
@@ -44,7 +45,7 @@ def contact_mask(u, k):
     """
     grid = u.grid
     H, valid = hessian_field(u)
-    slack = symcone.matrix_cone_slack(-H[valid], k)
+    slack = symcone.matrix_cone_slack(-H, k)
     mask = grid.interior & ~valid
     mask[valid] = slack >= -symcone.MEMBERSHIP_TOL
     return ContactMask(mask)
@@ -119,11 +120,20 @@ def best_constant_ball(n, k, R):
 
 @dataclass
 class BoundReport:
+    """sup u against constant * norm; NumericError names the first of lhs,
+    rhs, norm and margin that is not finite, so no verdict is taken on it."""
     lhs: float
     rhs: float
     constant: float
     norm: float
     mask_size: int
+
+    def __post_init__(self):
+        for name in ("lhs", "rhs", "norm", "margin"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise symcone.NumericError(
+                    f"bound report: {name} = {value} is not finite")
 
     @property
     def margin(self):
@@ -162,30 +172,19 @@ def rho_star_field(coeff, k, mask):
     return vals
 
 
-def theorem_rhs(f, coeff, k, q, mask, constant):
-    """rhs = constant * || f / rho*_k(A(x)) ||_{L^q(mask)}, paired with the
-    sup over the same grid's interior into a BoundReport (lhs filled by the
-    caller if a solution field is at hand); mask is a boolean array."""
-    grid = f.grid
-    rho = np.ones(grid.shape)
+def weighted_norm(f, coeff, k, q, mask):
+    """|| f / rho*_k(A(x)) ||_{L^q(mask)}, the paper's weighted norm; mask is
+    a boolean array inside the interior, and an empty one gives 0.0."""
+    ratio = np.zeros(f.grid.shape)
     if np.any(mask):
-        rho[mask] = rho_star_field(coeff, k, mask)
-    ratio = ScalarField(grid, np.where(mask, f.values / rho, 0.0))
-    norm = lq_norm(ratio, q, mask)
-    return BoundReport(np.nan, constant * norm, constant, norm,
-                       int(np.count_nonzero(mask)))
+        ratio[mask] = f.values[mask] / rho_star_field(coeff, k, mask)
+    return lq_norm(ScalarField(f.grid, ratio), q, mask)
 
 
 def bound_report_for(u, f, coeff, k, q, constant):
-    """Full pipeline: sup u vs constant * contact-surrogate norm.
-    NumericError names the first of lhs, rhs, norm and margin that is not
-    finite, so that no verdict is taken on it."""
-    rep = theorem_rhs(f, coeff, k, q, contact_mask(u, k).mask, constant)
-    sup, _, _ = sup_inf_osc(u)
-    rep.lhs = float(sup)
-    for name in ("lhs", "rhs", "norm", "margin"):
-        value = getattr(rep, name)
-        if not np.isfinite(value):
-            raise symcone.NumericError(
-                f"bound report: {name} = {value} is not finite")
-    return rep
+    """Full pipeline: sup u vs constant * the weighted norm of f over the
+    contact surrogate of u."""
+    mask = contact_mask(u, k).mask
+    norm = weighted_norm(f, coeff, k, q, mask)
+    return BoundReport(sup_inf_osc(u)[0], constant * norm, constant, norm,
+                       int(np.count_nonzero(mask)))

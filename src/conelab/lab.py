@@ -86,8 +86,12 @@ class ExperimentReport:
 
     @property
     def error(self):
-        """'<ExceptionType>: <message>' of a job that raised, else None."""
-        return self.exc and f"{type(self.exc).__name__}: {self.exc}"
+        """'<ExceptionType>: <message>' of a job that raised (the type alone
+        for an error without a message), else None."""
+        if self.exc is None:
+            return None
+        name = type(self.exc).__name__
+        return f"{name}: {self.exc}" if str(self.exc) else name
 
 
 def fit_loglog(xs, ys, npts=5):
@@ -387,6 +391,14 @@ def one_spacing(job, cfg):
     return cfg.h_ladder[0]
 
 
+def check_lattices(cfg):
+    """Check the lattice of every rung by fd.lattice_shape, from the domain
+    and h alone, so that an oversized one fails before any array is built
+    or solve run; a ValueError names 'h'."""
+    for h in cfg.h_ladder:
+        _load("h", fd.lattice_shape, cfg.domain, h)
+
+
 def coeff_builder(cfg):
     """Builder (grid -> CoeffField) of the config's operator."""
     return OPERATORS[cfg.operator["type"]].build(cfg.n, cfg.operator)
@@ -679,7 +691,7 @@ def exp_w22(cfg, rep):
     for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)
         num = fd.w22_seminorm(u, inner)
-        den = green.theorem_rhs(f, coeff, 2, 2.0, grid.interior, 1.0).norm
+        den = green.weighted_norm(f, coeff, 2, 2.0, grid.interior)
         if den <= 1e-14:
             rep.runs.append({"h": h, "num": num, "den": den,
                              "ratio": None, "degenerate": True})
@@ -759,6 +771,7 @@ def run_one(name, cfg_dict):
             cfg = replace(cfg, domain=fd.Domain.ball(np.zeros(cfg.n), 1.0))
         _require(cfg.domain.kind in kinds, f"field 'domain': {name} runs "
                  f"on a {' or '.join(kinds)}, got a {cfg.domain.kind}")
+        check_lattices(cfg)
     rep = ExperimentReport(cfg.name, cfg.to_dict(COMMON + reads))
     experiment(cfg, rep)
     rep.wall_time = time.perf_counter() - t0

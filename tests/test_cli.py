@@ -5,6 +5,7 @@ import logging
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -440,6 +441,96 @@ class TestResourceFailure:
         assert captured.err == f"error: {self.MESSAGE}\n"
         assert (tmp_path / "suite" / "lg" / "report.json").exists()
         assert not (tmp_path / "suite" / "big").exists()
+
+
+class TestBareResourceFailure:
+    """An error without a message prints, and reports, its type's name."""
+
+    @pytest.fixture(autouse=True)
+    def no_memory(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(fd, "build_grid", fail)
+
+    def test_exp_names_the_type(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": 3, "k": 2, "q": 2.0, "h": [0.25]}))
+        code, err = run_failing(capsys, "exp", "max_principle", "--config",
+                                str(p), "--out", str(tmp_path / "rep"))
+        assert code == 3 and err == "error: MemoryError\n"
+
+    def test_suite_names_the_type(self, capsys, tmp_path):
+        battery = {"experiments": [
+            {"exp": "max_principle", "name": "big", "n": 3, "k": 2,
+             "q": 2.0, "h": [0.25]}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        code = cli.main(["suite", "--config", str(p),
+                         "--out", str(tmp_path / "suite")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert [r["error"] for r in json.loads(captured.out)["reports"]] \
+            == ["MemoryError"]
+        assert captured.err == "error: MemoryError\n"
+
+
+# a ball of radius 100 at h = 0.25: 802^3 lattice nodes, whose radius map
+# alone is a 3.84 GiB array
+HUGE_BALL_CFG = {"n": 3, "k": 2, "q": 2.0, "h": [0.25],
+                 "domain": {"kind": "ball", "center": [0, 0, 0],
+                            "radius": 100}}
+OVERSIZED = ("error: field 'h': spacing 0.25 needs 515849608 lattice nodes, "
+             "above the budget of 8388608")
+
+
+def run_limited(*argv):
+    """The exit code, stdout and stderr of `python -m conelab.cli *argv` in
+    a child whose address space is limited to 2 GiB, so that an array of an
+    oversized lattice fails there at once."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    src = str(pathlib.Path(conelab.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "conelab.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          preexec_fn=limit, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOversizedLattice:
+    """A lattice above fd.NODE_BUDGET nodes is a config error naming 'h',
+    found before any array is built."""
+
+    @pytest.mark.parametrize("command", ["solve", "exp"])
+    def test_exits_2(self, tmp_path, command):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(HUGE_BALL_CFG))
+        argv = [command] + (["max_principle"] if command == "exp" else [])
+        code, _, err = run_limited(*argv, "--config", str(p),
+                                   "--out", str(tmp_path / "out"))
+        assert (code, err) == (2, OVERSIZED + "\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_suite_keeps_the_valid_report(self, tmp_path):
+        battery = {"experiments": [
+            {"exp": "max_principle", "name": "bubble", "n": 3, "k": 2,
+             "q": 2.0, "h": [0.25],
+             "f": {"type": "constant", "params": {"value": 6.0}}},
+            {"exp": "max_principle", "name": "huge", **HUGE_BALL_CFG}]}
+        p = tmp_path / "battery.json"
+        p.write_text(json.dumps(battery))
+        code, out, err = run_limited("suite", "--config", str(p),
+                                     "--out", str(tmp_path / "suite"))
+        assert (code, err) == (2, OVERSIZED + "\n")
+        d = json.loads(out)
+        assert d["exit_code"] == 2
+        assert [(r["name"], r["passed"], r["error"]) for r in d["reports"]] \
+            == [("bubble", True, None),
+                ("huge", False, "ValueError: " + OVERSIZED[len("error: "):])]
+        assert (tmp_path / "suite" / "bubble" / "report.json").exists()
+        assert not (tmp_path / "suite" / "huge").exists()
 
 
 # per experiment, a quick config that runs in exploratory mode

@@ -71,6 +71,42 @@ class TestGrid:
         with pytest.raises(ValueError):
             fd.build_grid(unit_box(2), 0.0)
 
+    @pytest.mark.parametrize("domain, h", [
+        (unit_box(2), 0.25), (unit_ball(3), 0.25),
+        (fd.Domain.box([-1, 0, 0], [1, 0.5, 2]), 0.125),
+        (fd.Domain.ball([0.3, -0.2], 0.9), 0.1)])
+    def test_lattice_shape_is_the_grid_shape(self, domain, h):
+        assert fd.lattice_shape(domain, h) == fd.build_grid(domain, h).shape
+
+    def test_oversized_lattice_rejected(self, monkeypatch):
+        # 802^3 nodes: counted from the domain and h, no array is built
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "spacing 0.25 needs 515849608 lattice nodes, above the "
+                "budget of 8388608") + "$"):
+            fd.lattice_shape(fd.Domain.ball([0, 0, 0], 100.0), 0.25)
+        # Grid takes its shape from lattice_shape: 9^2 nodes fit a budget
+        # of 81, 17^2 do not
+        monkeypatch.setattr(fd, "NODE_BUDGET", 81)
+        assert fd.Grid(unit_box(2), 0.125).shape == (9, 9)
+        with pytest.raises(ValueError, match="needs 289 lattice nodes"):
+            fd.Grid(unit_box(2), 0.0625)
+
+    @pytest.mark.parametrize("domain, h", [
+        (unit_ball(3), 1 / 16),
+        (fd.Domain.box([-1, 0], [1, 0.5]), 1 / 128)])
+    def test_points_copy_the_box_once(self, domain, h):
+        g = fd.build_grid(domain, h)
+        want = np.stack(np.meshgrid(*g.axes, indexing="ij"), axis=-1)
+        tracemalloc.start()
+        try:
+            pts = g.points()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.tobytes() == want.tobytes() and pts.shape == want.shape
+        assert pts.flags.c_contiguous and pts.flags.writeable
+        assert peak <= 1.1 * pts.nbytes
+
     def test_too_coarse(self):
         with pytest.raises(ValueError):
             fd.build_grid(unit_box(2), 0.5)
@@ -806,8 +842,9 @@ class TestGatherOracle:
         u = fd.field_from_function(g, _wavy)
         H, valid = fd.hessian_field(u)
         assert np.array_equal(valid, fd.interior_eroded(g, 1))
-        assert H[valid].tobytes() == _shifted_hessian(u)[valid].tobytes()
-        assert not np.any(H[~valid])
+        # one matrix per valid node, in row-major order, and no box array
+        assert H.shape == (np.count_nonzero(valid), g.dim, g.dim)
+        assert H.tobytes() == _shifted_hessian(u)[valid].tobytes()
 
     @pytest.mark.parametrize("domain, h", [
         (unit_box(2), 1 / 16), (unit_ball(3), 1 / 8)], ids=["box2", "ball3"])
@@ -992,14 +1029,14 @@ class TestHessian:
         M = np.array([[2.0, 1.0], [1.0, -3.0]])
         u = fd.field_from_function(
             g, lambda x: 0.5 * np.einsum("...i,ij,...j->...", x, M, x))
-        H, mask = fd.hessian_field(u)
-        assert np.allclose(H[mask], M, atol=1e-10)
+        H, _ = fd.hessian_field(u)
+        assert np.allclose(H, M, atol=1e-10)
 
     def test_bubble_hessian(self):
         g = fd.build_grid(unit_ball(2), 0.1)
         u = fd.field_from_function(g, lambda x: 1 - np.sum(x ** 2, -1))
-        H, mask = fd.hessian_field(u)
-        assert np.allclose(H[mask], -2 * np.eye(2), atol=1e-10)
+        H, _ = fd.hessian_field(u)
+        assert np.allclose(H, -2 * np.eye(2), atol=1e-10)
 
     def test_power_eigenvalues(self):
         n, alpha, h = 3, 0.5, 1 / 64
@@ -1008,9 +1045,9 @@ class TestHessian:
             g, lambda x: np.sum(x ** 2, -1) ** (alpha / 2))
         H, mask = fd.hessian_field(u)
         r = np.linalg.norm(g.points(), axis=-1)
-        sel = mask & (r > 0.5) & (r < 0.9)
-        lam = np.sort(np.linalg.eigvalsh(H[sel]), axis=1)
-        rr = r[sel]
+        sel = (r > 0.5) & (r < 0.9)
+        lam = np.sort(np.linalg.eigvalsh(H[sel[mask]]), axis=1)
+        rr = r[mask & sel]
         exact = np.sort(np.stack(
             [alpha * (alpha - 1) * rr ** (alpha - 2)]
             + [alpha * rr ** (alpha - 2)] * (n - 1), axis=1), axis=1)

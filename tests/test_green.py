@@ -10,7 +10,7 @@ from conelab import fd, green, symcone
 from conelab.green import (BoundReport, GreenBallSpec, abp_constant,
                            best_constant_ball, bound_report_for, contact_mask,
                            green_ball_profile, green_ball_radial,
-                           rho_star_field, theorem_rhs)
+                           rho_star_field, weighted_norm)
 from conelab.radial import radial_fk, unit_ball_volume
 
 SUPPORTED = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4),
@@ -71,7 +71,7 @@ class TestContactMaskOracle:
             u = fd.solve_dirichlet(coeff, f,
                                    fd.ScalarField(grid, np.zeros(grid.shape)))
         H, valid = fd.hessian_field(u)
-        M = -H[valid]
+        M = -H
         norm = np.linalg.norm(M, axis=(1, 2))
         eps = np.finfo(float).eps
         for k in range(1, n + 1):
@@ -372,21 +372,24 @@ class TestRhoStarFieldOptimized:
 
 
 class TestTheoremRhs:
+    """The norm of the theorem's right-hand side, green.weighted_norm."""
+
     def test_identity_coeff_reduces_to_fnorm(self):
         g = ball_grid(3, 0.125)
         coeff = fd.identity_coeff()(g)
         f = fd.ScalarField(g, np.full(g.shape, 2.0))
-        rep = theorem_rhs(f, coeff, 3, 3.0, g.interior, 1.0)
-        assert np.isclose(rep.rhs, fd.lq_norm(f, 3.0), rtol=1e-12)
-        assert rep.mask_size == int(np.count_nonzero(g.interior))
+        norm = weighted_norm(f, coeff, 3, 3.0, g.interior)
+        assert np.isclose(norm, fd.lq_norm(f, 3.0), rtol=1e-12)
+        assert weighted_norm(f, coeff, 3, 3.0,
+                             np.zeros(g.shape, dtype=bool)) == 0.0
 
     def test_monotone_in_mask(self):
         g = ball_grid(3, 0.125)
         coeff = fd.identity_coeff()(g)
         f = fd.ScalarField(g, np.full(g.shape, 2.0))
         small = fd.interior_eroded(g, 2)
-        big = theorem_rhs(f, coeff, 3, 3.0, g.interior, 1.0)
-        assert theorem_rhs(f, coeff, 3, 3.0, small, 1.0).rhs <= big.rhs
+        big = weighted_norm(f, coeff, 3, 3.0, g.interior)
+        assert weighted_norm(f, coeff, 3, 3.0, small) <= big
 
     def test_report_roundtrip(self):
         rep = BoundReport(1.0, 4.0, 0.41, 9.7, 100)
@@ -394,6 +397,57 @@ class TestTheoremRhs:
         assert d["margin"] == 3.0
         assert set(d) == {"lhs", "rhs", "constant", "norm", "mask_size",
                           "margin"}
+
+
+def _box_weighted_norm(f, coeff, k, q, mask):
+    """The weighted norm as a box-wide division: rho*_k on the mask and 1
+    elsewhere, f / rho over the whole box, zeroed off the mask."""
+    rho = np.ones(f.grid.shape)
+    if np.any(mask):
+        rho[mask] = rho_star_field(coeff, k, mask)
+    ratio = fd.ScalarField(f.grid, np.where(mask, f.values / rho, 0.0))
+    return fd.lq_norm(ratio, q, mask)
+
+
+class TestWeightedNormOracle:
+    # the box lattice has a node at the origin, so its gilbarg_serrin field
+    # has two spectrum rows; the sign-changing source reaches every node.
+    # k runs over each k whose G*_k holds gs_spectrum(n, alpha)
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    @pytest.mark.parametrize("n, alpha, k", [
+        (3, -0.4, 2), (3, -0.4, 3), (3, 0.2, 2), (3, 0.2, 3), (4, -0.4, 2),
+        (4, -0.4, 3), (4, -0.4, 4), (4, 0.2, 3), (4, 0.2, 4)])
+    def test_bit_equal_to_box_division(self, kind, n, alpha, k):
+        domain = (fd.Domain.ball(np.zeros(n), 1.0) if kind == "ball"
+                  else fd.Domain.box(-np.ones(n), np.ones(n)))
+        g = fd.build_grid(domain, 0.25)
+        coeff = fd.coeff_gilbarg_serrin(n, alpha)(g)
+        f = fd.field_from_function(
+            g, lambda x: 8.0 * np.exp(-np.sum(x ** 2, -1) / 0.2) - 2.0)
+        masks = [g.interior, fd.interior_eroded(g, 2),
+                 np.zeros(g.shape, dtype=bool)]
+        for mask in masks:
+            for q in (1.0, 1.5, float(k)):
+                want = _box_weighted_norm(f, coeff, k, q, mask)
+                got = weighted_norm(f, coeff, k, q, mask)
+                assert type(got) is float
+                assert got.hex() == want.hex()
+        assert len(coeff.spectra) == (2 if kind == "box" else 1)
+
+
+class TestBoundReportFinite:
+    # lhs, rhs, norm, margin: the first that is not finite is named
+    @pytest.mark.parametrize("name, lhs, rhs, norm, value", [
+        ("lhs", np.nan, 1.0, 1.0, np.nan),
+        ("lhs", -np.inf, np.inf, np.inf, -np.inf),
+        ("rhs", 0.0, np.inf, np.inf, np.inf),
+        ("norm", 0.0, 1.0, np.nan, np.nan),
+        ("margin", -1e308, 1e308, 1e308, np.inf)])
+    def test_names_the_first_non_finite_field(self, name, lhs, rhs, norm,
+                                              value):
+        with pytest.raises(symcone.NumericError, match=re.escape(
+                f"bound report: {name} = {value} is not finite")):
+            BoundReport(lhs, rhs, 1.0, norm, 10)
 
 
 class TestBoundPipeline:
@@ -410,3 +464,15 @@ class TestBoundPipeline:
         assert abs(rep.lhs - 1.0) < 0.05
         assert abs(rep.rhs - 4.0) < 0.2
         assert rep.margin > 0
+
+    def test_report_holds_the_contact_norm(self):
+        # the concave bubble's contact surrogate is the whole interior
+        g = ball_grid(3, 0.125)
+        coeff = fd.identity_coeff()(g)
+        f = fd.ScalarField(g, np.full(g.shape, 6.0))
+        u = fd.field_from_function(g, lambda x: 1 - np.sum(x ** 2, -1))
+        rep = bound_report_for(u, f, coeff, 3, 3.0, 0.5)
+        norm = weighted_norm(f, coeff, 3, 3.0, g.interior)
+        assert rep.mask_size == int(np.count_nonzero(g.interior))
+        assert (rep.norm, rep.rhs) == (norm, 0.5 * norm)
+        assert rep.lhs == fd.sup_inf_osc(u)[0]

@@ -454,6 +454,20 @@ class TestInnerBall:
         assert lab.error_exit_code(exc.value) == 2
 
 
+class TestLatticeBudget:
+    # h = 0.001 on the unit ball at n = 3 asks for 2002^3 lattice nodes
+    @pytest.mark.parametrize("exp", ["max_principle", "local_max",
+                                     "oscillation", "w22"])
+    def test_every_rung_checked_before_any_solve(self, monkeypatch, exp):
+        calls = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                "field 'h': spacing 0.001 needs 8024024008 lattice nodes, "
+                "above the budget of 8388608")) as exc:
+            lab.run_one(exp, {"n": 3, "k": 2, "q": 2.0, "h": [0.25, 0.001]})
+        assert calls == []
+        assert lab.error_exit_code(exc.value) == 2
+
+
 def count_solves(monkeypatch, fail_first=False):
     """The spacing of each fd.solve_dirichlet call from now on; with
     fail_first, the first call raises NumericError."""

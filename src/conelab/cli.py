@@ -5,16 +5,16 @@ comma-separated literals; configs are JSON files.  Exit code 0 on success
 (and all verdicts passing for exp/suite), 1 on failing verdicts, 2 on
 usage or configuration errors (a ValueError: a malformed spectrum, a
 missing, unreadable or invalid config, a spacing whose lattice has more
-than fd.NODE_BUDGET nodes, checked for every rung before the first
-solve), 3 on a numerical failure (NumericError: a linear solve, optimizer
-or quadrature that did not converge, a norm out of float range, a
-max_principle bound whose lhs, rhs, norm or margin is not finite, or a
-local_max or oscillation term that is not finite) or on a resource
-failure (MemoryError: an array too large to allocate).  The commands
-raise; main alone maps each error to one "error:" line on stderr (its
-message, or its type's name when it has none) and its code, and returns
-the code.  A suite runs every job, lists the errors raised, and exits with
-the highest code.
+than fd.NODE_BUDGET nodes or fewer than fd.MIN_INTERIOR_PER_AXIS interior
+nodes per axis, checked for every rung before the first solve), 3 on a
+numerical failure (NumericError: a linear solve, optimizer or quadrature
+that did not converge, a norm out of float range, a max_principle bound
+whose lhs, rhs, norm or margin is not finite, or a local_max, oscillation
+or w22 term that is not finite) or on a resource failure (MemoryError:
+an array too large to allocate).  The commands raise; main alone maps
+each error to one "error:" line on stderr (its message, or its type's
+name when it has none) and its code, and returns the code.  A suite runs
+every job, lists the errors raised, and exits with the highest code.
 
 CONELAB_LOG=<level> (debug, info, warning or error) sends the records of
 the conelab loggers at that level and above to stderr for the duration of

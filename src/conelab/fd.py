@@ -213,8 +213,8 @@ class Grid:
         for arr in (interior, self.boundary, active, *self.axes):
             arr.flags.writeable = False
         self._pattern = None    # the kept CSR pattern, see _lattice_pattern
-        per_axis = [np.count_nonzero(interior.any(
-            axis=tuple(j for j in range(n) if j != i)))
+        per_axis = [int(np.count_nonzero(interior.any(
+            axis=tuple(j for j in range(n) if j != i))))
             for i in range(n)]
         if min(per_axis, default=0) < MIN_INTERIOR_PER_AXIS:
             raise ValueError(

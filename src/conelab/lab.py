@@ -2,11 +2,14 @@
 
 Each experiment consumes an ExperimentConfig, runs a ladder of solves or
 closed-form norms, fits slopes where asymptotics are claimed, and fills the
-ExperimentReport that run_one hands it; verdicts are pure functions of the
-stored numbers.  The config vocabulary is declared once: CONFIG_KEYS (each
-field), OPERATORS and SOURCES (each type, its params and its builder) and
-EXPERIMENTS (each experiment, the fields it reads and the domains it runs
-on); parse_config and run_one reject whatever they do not declare.
+ExperimentReport that run_one hands it.  Every number it measures is stored
+once, in a run dict of rep.runs; its verdicts, slope fits and plot columns
+are read back from the runs (_columns), so report.json holds each number
+that a verdict judges or a plot CSV draws.  The config vocabulary is
+declared once: CONFIG_KEYS (each field), OPERATORS and SOURCES (each type,
+its params and its builder) and EXPERIMENTS (each experiment, the fields it
+reads and the domains it runs on); parse_config and run_one reject whatever
+they do not declare.
 
 sharpness and log_family take the L^q norm of the exact Lu of their
 mollified Gilbarg-Serrin family (radial.mollified_apply: a constant in the
@@ -94,11 +97,16 @@ class ExperimentReport:
         return f"{name}: {self.exc}" if str(self.exc) else name
 
 
-def fit_loglog(xs, ys, npts=5):
-    """Least-squares slope of log y vs log x on the last npts points, with
-    a half-width from the residual standard error."""
-    x = np.log(np.asarray(xs, dtype=float)[-npts:])
-    y = np.log(np.asarray(ys, dtype=float)[-npts:])
+# the points a slope is fitted on, the last of a ladder: the asymptotic
+# tail of the default 8-rung eps ladder, without its 3 coarsest rungs
+FIT_POINTS = 5
+
+
+def fit_loglog(xs, ys):
+    """Least-squares slope of log y vs log x on the last FIT_POINTS points,
+    with a half-width from the residual standard error."""
+    x = np.log(np.asarray(xs, dtype=float)[-FIT_POINTS:])
+    y = np.log(np.asarray(ys, dtype=float)[-FIT_POINTS:])
     m = len(x)
     if m < 2:
         raise ValueError("need at least two points for a slope")
@@ -392,11 +400,15 @@ def one_spacing(job, cfg):
 
 
 def check_lattices(cfg):
-    """Check the lattice of every rung by fd.lattice_shape, from the domain
-    and h alone, so that an oversized one fails before any array is built
-    or solve run; a ValueError names 'h'."""
+    """Check the lattice of every rung before any solve; a ValueError names
+    'h'.  First each size by fd.lattice_shape, from the domain and h alone,
+    so that an oversized lattice fails before any array is built; then each
+    grid by fd.build_grid, which rejects one with fewer than
+    fd.MIN_INTERIOR_PER_AXIS interior nodes per axis."""
     for h in cfg.h_ladder:
         _load("h", fd.lattice_shape, cfg.domain, h)
+    for h in cfg.h_ladder:
+        _load("h", fd.build_grid, cfg.domain, h)
 
 
 def coeff_builder(cfg):
@@ -467,6 +479,19 @@ def _inner_ball(cfg, h, frac, field, layers=0):
     return inner
 
 
+def _columns(runs, *keys):
+    """Plot columns or fit inputs: key -> [run[key] for run in runs]."""
+    return {key: [run[key] for run in runs] for key in keys}
+
+
+def _h_stable(ratios):
+    """The ratio_h_stable verdict: the spread max/min of the positive
+    ratios is at most 1.5, and 1.0 when none is positive."""
+    pos = [x for x in ratios if x > 0]
+    spread = max(pos) / min(pos) if pos else 1.0
+    return Verdict("ratio_h_stable", spread <= 1.5, spread, 1.0, 0.5)
+
+
 def exp_max_principle(cfg, rep):
     """Explicit-constant sup bound: solve Lu = -f with zero boundary data
     and check sup u <= abp_constant * ||f/rho*_k||_{L^q(contact mask)}."""
@@ -478,15 +503,11 @@ def exp_max_principle(cfg, rep):
         grid, coeff, f, u = _solve(cfg, h)
         br = green.bound_report_for(u, f, coeff, cfg.k, cfg.q, const)
         rep.runs.append({"h": h, **br.as_dict()})
-    margins = [r["margin"] for r in rep.runs]
-    rep.verdicts.append(Verdict("margin_nonneg", min(margins) >= 0.0,
-                                min(margins), 0.0, 0.0))
-    rep.plots["margin_vs_h.csv"] = (
-        "sup-bound margin per spacing",
-        {"h": [r["h"] for r in rep.runs],
-         "lhs": [r["lhs"] for r in rep.runs],
-         "rhs": [r["rhs"] for r in rep.runs],
-         "margin": margins})
+    cols = _columns(rep.runs, "h", "lhs", "rhs", "margin")
+    worst = min(cols["margin"])
+    rep.verdicts.append(Verdict("margin_nonneg", worst >= 0.0,
+                                worst, 0.0, 0.0))
+    rep.plots["margin_vs_h.csv"] = ("sup-bound margin per spacing", cols)
 
 
 def _gs_family(n, alpha, eps):
@@ -529,14 +550,13 @@ def exp_sharpness(cfg, rep):
              f"field 'q_list': values must differ when printed with %g, "
              f"as each names its own plot and verdict; got {list(q_list)}")
     families = [sharpness_family(n, k, eps) for eps in cfg.eps_ladder]
-    sups = [sup_w for _, sup_w in families]
     for q in q_list:
-        norms = []
-        for eps, (lu, sup_w) in zip(cfg.eps_ladder, families):
-            nm = radial.mollified_lq_norm(lu, n, q)
-            norms.append(nm)
-            rep.runs.append({"q": q, "eps": eps, "norm": nm, "sup": sup_w})
-        slope, hw = fit_loglog(cfg.eps_ladder, norms)
+        runs = [{"q": q, "eps": eps, "sup": sup_w,
+                 "norm": radial.mollified_lq_norm(lu, n, q)}
+                for eps, (lu, sup_w) in zip(cfg.eps_ladder, families)]
+        rep.runs.extend(runs)
+        norm = _columns(runs, "eps", "norm")
+        slope, hw = fit_loglog(norm["eps"], norm["norm"])
         expected = n / q - n / k
         rep.slopes.append(SlopeFit(f"norm_decay_q={q:g}", slope, hw,
                                    expected))
@@ -544,17 +564,16 @@ def exp_sharpness(cfg, rep):
                                     abs(slope - expected) <= 0.1,
                                     slope, expected, 0.1))
         rep.plots[f"norm_vs_eps_q{q:g}.csv"] = (
-            f"L^{q:g} norm of L w_eps vs eps",
-            {"eps": list(cfg.eps_ladder), "norm": norms})
+            f"L^{q:g} norm of L w_eps vs eps", norm)
     # sup w_eps approaches 1 like eps^alpha; on a geometric ladder the
-    # limit is recovered by Aitken extrapolation of the last three values
-    limit = aitken_limit(sups)
+    # limit is recovered by Aitken extrapolation of the last three values;
+    # the runs of every q hold the same sups
+    sup = _columns(runs, "eps", "sup")
+    limit = aitken_limit(sup["sup"])
     rep.verdicts.append(Verdict("sup_to_one",
                                 abs(limit - 1.0) <= 1e-6,
                                 limit, 1.0, 1e-6))
-    rep.plots["sup_vs_eps.csv"] = ("sup w_eps vs eps",
-                                   {"eps": list(cfg.eps_ladder),
-                                    "sup": sups})
+    rep.plots["sup_vs_eps.csv"] = ("sup w_eps vs eps", sup)
 
 
 def exp_log_family(cfg, rep):
@@ -566,28 +585,25 @@ def exp_log_family(cfg, rep):
     _require_rungs(cfg, 2, "as inf u_eps / log eps is extrapolated along a "
                    "line")
     target = 2.0 * (n - 1) * radial.unit_ball_volume(n) ** (2.0 / n)
-    norms, infs = [], []
     for eps in cfg.eps_ladder:
         prof, lu = _gs_family(n, 0.0, eps)
         nm = radial.mollified_lq_norm(lu, n, cfg.q)
         inf_u = float(prof.u(0.0))      # u_eps increases in r
-        norms.append(nm)
-        infs.append(inf_u)
         rep.runs.append({"eps": eps, "norm": nm, "inf": inf_u,
                          "inf_over_log": inf_u / float(np.log(eps))})
-    dev = max(abs(nm / target - 1.0) for nm in norms)
+    cols = _columns(rep.runs, "eps", "norm", "inf")
+    dev = max(abs(nm / target - 1.0) for nm in cols["norm"])
     rep.verdicts.append(Verdict("norm_flat", dev <= 0.02,
                                 dev, 0.0, 0.02))
     # inf u_eps / log eps = 1 + O(1/|log eps|): the deviation is linear in
     # 1/log eps, so a straight-line extrapolation to 0 yields the limit
-    x = 1.0 / np.log(np.asarray(cfg.eps_ladder))
-    y = np.array(infs) / np.log(np.asarray(cfg.eps_ladder))
-    limit = float(np.polyfit(x, y, 1)[1])
+    log_eps = np.log(np.asarray(cols["eps"]))
+    limit = float(np.polyfit(1.0 / log_eps, np.array(cols["inf"]) / log_eps,
+                             1)[1])
     rep.verdicts.append(Verdict("inf_over_log_to_one",
                                 abs(limit - 1.0) <= 5e-3, limit, 1.0, 5e-3))
     rep.plots["norm_vs_eps.csv"] = (
-        "flat L^{n/2} norm and diverging infimum vs eps",
-        {"eps": list(cfg.eps_ladder), "norm": norms, "inf": infs})
+        "flat L^{n/2} norm and diverging infimum vs eps", cols)
 
 
 def _finite(name, value):
@@ -613,7 +629,6 @@ def exp_local_max(cfg, rep):
     rhs term takes the least rho*_k over the lattice."""
     # every rung is checked before any solve
     inners = [_inner_ball(cfg, h, cfg.sigma, "sigma") for h in cfg.h_ladder]
-    ratios = []
     for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)
         fterm = _f_term(cfg, grid, coeff, f)
@@ -624,16 +639,11 @@ def exp_local_max(cfg, rep):
                          ** (1.0 / cfg.p))
         denom = mean_p + fterm
         ratio = lhs / denom if denom > 0 else 0.0
-        ratios.append(ratio)
         rep.runs.append({"h": h, "lhs": lhs, "mean_term": mean_p,
                          "f_term": fterm, "ratio": ratio})
-    pos = [x for x in ratios if x > 0]
-    spread = max(pos) / min(pos) if pos else 1.0
-    rep.verdicts.append(Verdict("ratio_h_stable", spread <= 1.5,
-                                spread, 1.0, 0.5))
-    rep.plots["ratio_vs_h.csv"] = ("local-max ratio per spacing",
-                                   {"h": list(cfg.h_ladder),
-                                    "ratio": ratios})
+    cols = _columns(rep.runs, "h", "ratio")
+    rep.verdicts.append(_h_stable(cols["ratio"]))
+    rep.plots["ratio_vs_h.csv"] = ("local-max ratio per spacing", cols)
 
 
 def exp_oscillation(cfg, rep):
@@ -646,11 +656,9 @@ def exp_oscillation(cfg, rep):
               for sigma in cfg.sigma_ladder]
     grid, coeff, f, u = _solve(cfg, h)
     fterm = _f_term(cfg, grid, coeff, f)
-    oscs = []
     nonneg = bool(np.min(u.values[grid.interior]) >= -1e-12)
     for sigma, inner in zip(cfg.sigma_ladder, inners):
         sup, inf, osc = fd.sup_inf_osc(u, inner)
-        oscs.append(osc)
         run = {"sigma": sigma, "sup": sup, "inf": inf, "osc": osc}
         if nonneg:
             if sup <= 1e-14:
@@ -661,21 +669,21 @@ def exp_oscillation(cfg, rep):
                 harnack = np.inf
             run["harnack_ratio"] = harnack
         rep.runs.append(run)
-    if max(oscs) <= 1e-14:
+    cols = _columns(rep.runs, "sigma", "osc")
+    if max(cols["osc"]) <= 1e-14:
         rep.verdicts.append(Verdict("osc_decay", True, 0.0, 0.0, 0.0))
     else:
-        slope, hw = fit_loglog(cfg.sigma_ladder, oscs)
+        slope, hw = fit_loglog(cols["sigma"], cols["osc"])
         rep.slopes.append(SlopeFit("osc_decay", slope, hw, None))
         rep.verdicts.append(Verdict("osc_decay_positive", slope > 0.0,
                                     slope, 0.0, 0.0))
     if nonneg:
-        hr = [r_.get("harnack_ratio", 0.0) for r_ in rep.runs]
+        hr = [run["harnack_ratio"] for run in rep.runs]
         rep.verdicts.append(Verdict("harnack_finite",
                                     bool(np.all(np.isfinite(hr))),
                                     float(np.max(hr)), 0.0, 0.0))
     rep.plots["osc_vs_sigma.csv"] = ("oscillation over concentric balls",
-                                     {"sigma": list(cfg.sigma_ladder),
-                                      "osc": oscs})
+                                     cols)
 
 
 def exp_w22(cfg, rep):
@@ -687,28 +695,23 @@ def exp_w22(cfg, rep):
     # a fixed inner subdomain so the ratio is comparable across h; every
     # rung is checked before any solve
     inners = [_inner_ball(cfg, h, 0.7, "h", layers=2) for h in cfg.h_ladder]
-    ratios = []
     for h, inner in zip(cfg.h_ladder, inners):
         grid, coeff, f, u = _solve(cfg, h)
-        num = fd.w22_seminorm(u, inner)
-        den = green.weighted_norm(f, coeff, 2, 2.0, grid.interior)
+        num = _finite("num", fd.w22_seminorm(u, inner))
+        den = _finite("den", green.weighted_norm(f, coeff, 2, 2.0,
+                                                 grid.interior))
         if den <= 1e-14:
             rep.runs.append({"h": h, "num": num, "den": den,
                              "ratio": None, "degenerate": True})
             continue
-        ratio = num / den
-        ratios.append(ratio)
         rep.runs.append({"h": h, "num": num, "den": den,
-                         "ratio": ratio})
-    if ratios:
-        spread = max(ratios) / min(ratios)
-        rep.verdicts.append(Verdict("ratio_h_stable", spread <= 1.5,
-                                    spread, 1.0, 0.5))
-        rep.plots["ratio_vs_h.csv"] = (
-            "second-derivative ratio per spacing",
-            {"h": [r_["h"] for r_ in rep.runs if not
-                   r_.get("degenerate")],
-             "ratio": ratios})
+                         "ratio": num / den})
+    cols = _columns([r for r in rep.runs if not r.get("degenerate")],
+                    "h", "ratio")
+    if cols["h"]:
+        rep.verdicts.append(_h_stable(cols["ratio"]))
+        rep.plots["ratio_vs_h.csv"] = ("second-derivative ratio per spacing",
+                                       cols)
     else:
         rep.verdicts.append(Verdict("degenerate_all_runs", True,
                                     0.0, 0.0, 0.0))

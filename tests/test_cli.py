@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conelab
-from conelab import cli, fd, lab, serialize
+from conelab import cli, fd, green, lab, serialize
 from conelab.symcone import NumericError
 
 
@@ -375,12 +375,13 @@ class TestNonFiniteBound:
 
 
 class TestNonFiniteTerms:
-    """local_max and oscillation take no verdict on an f_term or mean_term
-    that is not finite: the run is a numerical failure."""
+    """local_max, oscillation and w22 take no verdict on a term that is not
+    finite (f_term, mean_term, num or den): the run is a numerical
+    failure."""
 
-    def run(self, capsys, tmp_path, name):
+    def run(self, capsys, tmp_path, name, cfg=HUGE_SOURCE_CFG):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(HUGE_SOURCE_CFG))
+        p.write_text(json.dumps(cfg))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = cli.main(["exp", name, "--config", str(p),
@@ -401,6 +402,16 @@ class TestNonFiniteTerms:
         monkeypatch.setattr(lab, "_f_term", lambda *args: 1.0)
         assert "error: mean_term = inf is not finite" in self.run(
             capsys, tmp_path, "local_max")
+
+    @pytest.mark.parametrize("term, module, attr", [
+        ("num", fd, "w22_seminorm"), ("den", green, "weighted_norm")])
+    def test_w22_term_exits_3(self, capsys, tmp_path, monkeypatch, term,
+                              module, attr):
+        monkeypatch.setattr(module, attr, lambda *args: np.inf)
+        cfg = {"n": 3, "k": 2, "q": 2.0, "h": [0.125, 0.1],
+               "f": {"type": "constant", "params": {"value": 3.0}}}
+        assert f"error: {term} = inf is not finite" in self.run(
+            capsys, tmp_path, "w22", cfg)
 
 
 class TestResourceFailure:
@@ -531,6 +542,32 @@ class TestOversizedLattice:
                 ("huge", False, "ValueError: " + OVERSIZED[len("error: "):])]
         assert (tmp_path / "suite" / "bubble" / "report.json").exists()
         assert not (tmp_path / "suite" / "huge").exists()
+
+
+class TestCoarseLattice:
+    """A rung with fewer than 3 interior nodes per axis is a config error
+    naming 'h', found before the first solve."""
+
+    # h = 0.5 on the unit ball at n = 3 leaves 2 interior nodes per axis
+    COARSE = ("error: field 'h': grid too coarse: [2, 2, 2] interior nodes "
+              "per axis\n")
+
+    @pytest.mark.parametrize("command, h", [("solve", [0.5]),
+                                            ("exp", [0.125, 0.5])])
+    def test_exits_2(self, capsys, tmp_path, monkeypatch, command, h):
+        calls = []
+        monkeypatch.setattr(fd, "solve_dirichlet",
+                            lambda *args: calls.append(args))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"n": 3, "k": 2, "q": 2.0, "h": h,
+                                 "domain": {"kind": "ball",
+                                            "center": [0, 0, 0],
+                                            "radius": 1.0}}))
+        argv = [command] + (["max_principle"] if command == "exp" else [])
+        code, err = run_failing(capsys, *argv, "--config", str(p),
+                                "--out", str(tmp_path / "out"))
+        assert (code, err, calls) == (2, self.COARSE, [])
+        assert not (tmp_path / "out").exists()
 
 
 # per experiment, a quick config that runs in exploratory mode

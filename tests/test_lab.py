@@ -279,7 +279,7 @@ class TestSlopeFitting:
         xs = 2.0 ** -np.arange(0, 10)
         ys = xs ** 2.0
         ys[0] *= 100.0  # contaminate the coarsest point only
-        slope, hw = lab.fit_loglog(xs, ys, npts=5)
+        slope, hw = lab.fit_loglog(xs, ys)
         assert np.isclose(slope, 2.0, atol=1e-12)
 
     def test_two_points(self):
@@ -434,6 +434,16 @@ class TestW22:
                                 "h": [0.125, 0.25]})
         assert calls == []
 
+    def test_zero_ratios_are_h_stable(self, monkeypatch):
+        # a positive den and a zero num at every rung: each ratio is 0.0
+        monkeypatch.setattr(fd, "w22_seminorm", lambda u, inner: 0.0)
+        rep = lab.run_one("w22", {
+            "n": 3, "k": 2, "q": 2.0, "h": [0.125, 0.1],
+            "f": {"type": "constant", "params": {"value": 3.0}}})
+        assert [r["ratio"] for r in rep.runs] == [0.0, 0.0]
+        assert [(v.name, v.passed, v.value) for v in rep.verdicts] == [
+            ("ratio_h_stable", True, 1.0)]
+
 
 class TestInnerBall:
     # a ball of 0.05 R about the centre holds no node at h = 1/8, whose
@@ -464,6 +474,18 @@ class TestLatticeBudget:
                 "field 'h': spacing 0.001 needs 8024024008 lattice nodes, "
                 "above the budget of 8388608")) as exc:
             lab.run_one(exp, {"n": 3, "k": 2, "q": 2.0, "h": [0.25, 0.001]})
+        assert calls == []
+        assert lab.error_exit_code(exc.value) == 2
+
+    # h = 0.5 on the unit ball at n = 3 leaves 2 interior nodes per axis
+    @pytest.mark.parametrize("exp", ["max_principle", "local_max",
+                                     "oscillation", "w22"])
+    def test_coarse_rung_rejected_before_any_solve(self, monkeypatch, exp):
+        calls = count_solves(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                "field 'h': grid too coarse: [2, 2, 2] interior nodes per "
+                "axis")) as exc:
+            lab.run_one(exp, {"n": 3, "k": 2, "q": 2.0, "h": [0.125, 0.5]})
         assert calls == []
         assert lab.error_exit_code(exc.value) == 2
 
@@ -707,6 +729,56 @@ class TestFieldsRead:
         again = lab.run_one(name, rep.config_echo)
         assert again.config_echo == rep.config_echo
         assert again.runs == rep.runs
+
+
+# the QUICK configs, one that plots several q, and one whose w22 runs are
+# not degenerate
+PLOTTED = {**{name: (name, cfg) for name, cfg in QUICK.items()},
+           "sharpness_q_list": ("sharpness", {**QUICK["sharpness"],
+                                              "q_list": [1.2, 1.5, 2.0]}),
+           "w22_source": ("w22", {**QUICK["w22"], "f": {
+               "type": "constant", "params": {"value": 3.0}}})}
+
+
+def read_plot_csv(path):
+    """Column name -> values of a plot CSV."""
+    lines = path.read_text().splitlines()
+    head = next(line for line in lines if line.startswith("# columns: "))
+    rows = [[float(x) for x in line.split(",")] for line in lines
+            if not line.startswith("#")]
+    return dict(zip(head[len("# columns: "):].split(","),
+                    map(list, zip(*rows))))
+
+
+def plotted_runs(exp, fname, runs):
+    """The groups of runs the plot fname of exp draws, each one whole: of
+    sharpness the runs of each q (of the plot's own q for a norm plot), of
+    w22 the runs that are not degenerate, else all runs."""
+    if exp == "w22":
+        return [[r for r in runs if not r.get("degenerate")]]
+    if exp != "sharpness":
+        return [runs]
+    qs = sorted({r["q"] for r in runs})
+    m = re.fullmatch(r"norm_vs_eps_q(.*)\.csv", fname)
+    return [[r for r in runs if r["q"] == q] for q in qs
+            if m is None or f"{q:g}" == m.group(1)]
+
+
+@pytest.mark.parametrize("case", sorted(PLOTTED))
+def test_plot_csv_columns_are_run_fields(tmp_path, case):
+    exp, cfg = PLOTTED[case]
+    files = written(lab.run_one(exp, {**cfg, "mode": "exploratory"}),
+                    tmp_path)
+    runs = json.loads(files["report.json"])["runs"]
+    # a w22 whose every run is degenerate (zero source) plots nothing
+    assert len(files) > 1 or case == "w22"
+    for fname in sorted(set(files) - {"report.json"}):
+        cols = read_plot_csv(tmp_path / fname)
+        groups = plotted_runs(exp, fname, runs)
+        assert groups and all(groups), fname
+        for group in groups:
+            assert cols == {key: [r[key] for r in group] for key in cols}, \
+                fname
 
 
 def readme_table(head, after=""):
